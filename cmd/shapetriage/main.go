@@ -19,9 +19,6 @@
 //	             reading a file (matches TestFuzzSoundness's "genseed"
 //	             failure output)
 //	-wide       with -genseed, use the wide-struct generator
-//	-legacy      run the engine with its historical soundness bugs
-//	             restored (analysis.Options.LegacyUnsound) — for
-//	             reproducing fixed bugs on their corpus cases
 //	-dot         print the side-by-side DOT pair (concrete heap +
 //	             nearest RSG, best partial embedding highlighted)
 //	-shrink      delta-debug the program to a minimal case that still
@@ -55,7 +52,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "PRNG seed for the concrete traces")
 	genSeed := flag.Int64("genseed", 0, "regenerate the fuzzer program of this seed")
 	wide := flag.Bool("wide", false, "with -genseed, use the wide-struct generator")
-	legacy := flag.Bool("legacy", false, "restore the engine's historical soundness bugs")
 	dot := flag.Bool("dot", false, "print the heap/RSG DOT pair on failure")
 	shrink := flag.Bool("shrink", false, "delta-debug to a minimal failing program")
 	outFile := flag.String("o", "", "with -shrink, write the minimal case here")
@@ -70,9 +66,8 @@ func main() {
 	}
 
 	opts := analysis.Options{
-		Level:         rsg.Level(*level),
-		Workers:       *workers,
-		LegacyUnsound: *legacy,
+		Level:   rsg.Level(*level),
+		Workers: *workers,
 	}
 	if opts.Level < rsg.L1 || opts.Level > rsg.L3 {
 		fatal(fmt.Errorf("invalid level %d", *level))

@@ -129,7 +129,7 @@ func StepSelCopySym(ctx *Context, g *rsg.Graph, x, sel, y rsg.Sym) []*rsg.Graph 
 			unlinkSym(g2, src.ID, sel, nm)
 		}
 		if yt := g2.PvarTargetSym(y); yt != nil {
-			linkSym(g2, src.ID, sel, yt.ID, ctx.LegacyUnsound)
+			linkSym(g2, src.ID, sel, yt.ID)
 		}
 		if !prune(ctx, g2) {
 			continue

@@ -2,9 +2,8 @@ package analysis_test
 
 // Tests for the semi-naïve delta engine (DESIGN.md §8): the delta path
 // must actually carry the run (vacuity guard for the determinism
-// property's delta dimension), NoDelta must force the full path, and
-// the clock-evicting transfer memo must keep results bit-identical
-// when it thrashes.
+// property's delta dimension), and the full-recompute reference must
+// stay off it.
 
 import (
 	"errors"
@@ -17,7 +16,8 @@ import (
 
 // TestDeltaPathCarriesRun guards the delta determinism dimension
 // against vacuity: a default bounded Barnes-Hut run must serve
-// statement visits from the delta path, and a NoDelta run must not.
+// statement visits from the delta path, and a full-recompute run must
+// not.
 func TestDeltaPathCarriesRun(t *testing.T) {
 	prog, _ := compileKernel(t, "barneshut")
 	on, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1})
@@ -34,52 +34,17 @@ func TestDeltaPathCarriesRun(t *testing.T) {
 		t.Errorf("CacheSummary lacks the delta counters: %s", on.Stats.CacheSummary())
 	}
 
-	off, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
+	off, err := analysis.Run(prog, analysis.FullRecomputeForTest(analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1}))
 	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
 		t.Fatal(err)
 	}
 	if off.Stats.DeltaTransfers != 0 {
-		t.Errorf("NoDelta run reported %d delta transfers", off.Stats.DeltaTransfers)
+		t.Errorf("full-recompute run reported %d delta transfers", off.Stats.DeltaTransfers)
 	}
 	if off.Stats.FullRecomputes == 0 {
-		t.Error("NoDelta run reported no full recomputes")
+		t.Error("full-recompute run reported no full recomputes")
 	}
 	if got, want := fingerprint(on), fingerprint(off); got != want {
-		t.Fatal("delta and NoDelta runs diverged (see TestParallelDeterminism for the full matrix)")
+		t.Fatal("delta and full-recompute runs diverged (see TestParallelDeterminism for the full matrix)")
 	}
-}
-
-// TestTransferMemoEviction forces the per-statement transfer memo past
-// its capacity: the clock sweep must actually evict (MemoFull > 0) and
-// the run's per-statement digests must match an uncapped run exactly —
-// eviction may only cost recomputation, never change results. NoDelta
-// keeps the memo hot (the delta path probes each digest once per
-// statement, so a capped memo would simply stop mattering).
-func TestTransferMemoEviction(t *testing.T) {
-	prog, _ := compileKernel(t, "barneshut")
-	ref, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	if ref.Stats.MemoFull != 0 {
-		t.Fatalf("uncapped run evicted %d memo entries", ref.Stats.MemoFull)
-	}
-
-	restore := analysis.SetMemoCapForTest(4)
-	defer restore()
-	capped, err := analysis.Run(prog, analysis.Options{Level: rsg.L1, MaxVisits: 1500, Workers: 1, NoDelta: true})
-	if err != nil && !errors.Is(err, analysis.ErrNoConvergence) {
-		t.Fatal(err)
-	}
-	if capped.Stats.MemoFull == 0 {
-		t.Fatal("memoCap=4 run never evicted; the eviction path is untested")
-	}
-	if capped.Stats.MemoHits == 0 {
-		t.Error("capped memo served no hits at all — cap too small to retain anything")
-	}
-	if got, want := fingerprint(capped), fingerprint(ref); got != want {
-		t.Fatal("memo eviction changed per-statement digests")
-	}
-	t.Logf("capped: hits=%d misses=%d evictions=%d", capped.Stats.MemoHits,
-		capped.Stats.MemoMisses, capped.Stats.MemoFull)
 }

@@ -1,16 +1,9 @@
 package analysis
 
-import "repro/internal/ir"
-
-// SetMemoCapForTest shrinks the per-statement transfer-memo capacity so
-// tests can force clock eviction, returning a restore func.
-func SetMemoCapForTest(n int) func() {
-	old := memoCap
-	memoCap = n
-	return func() { memoCap = old }
+// FullRecomputeForTest returns opts with every statement kept off the
+// semi-naïve delta path, so external tests can use the full
+// recomputation as the reference the delta path must reproduce.
+func FullRecomputeForTest(opts Options) Options {
+	opts.fullRecompute = true
+	return opts
 }
-
-// ReversePostOrderForTest exposes the engine's RPO for the scheduling
-// property tests (external test package), which cross-check it against
-// the WTO loop forest.
-func ReversePostOrderForTest(p *ir.Program) []int { return reversePostOrder(p) }

@@ -1,11 +1,15 @@
 package analysis_test
 
 // Representation-equivalence property test (DESIGN.md §10): the
-// per-statement canonical digests of fig1/barneshut/lu/matvec at every
-// level are pinned to golden values recorded from the map-based
-// pre-refactor encoding. The canonical signature format (canon.go) is
-// defined over names, not over any in-memory layout, so any faithful
-// re-encoding of the RSG must reproduce these bytes exactly.
+// per-statement canonical digests of fig1/barneshut/lu/matvec/popfree
+// at every level are pinned to golden values. The canonical signature
+// format (canon.go) is defined over names, not over any in-memory
+// layout, so any faithful re-encoding of the RSG must reproduce these
+// bytes exactly. fig1 and popfree converge without widening, so their
+// digests are the schedule-independent fixed point (they were also
+// reproduced by the flat reverse-postorder worklist the engine used
+// before the WTO scheduler); the kernels' bounded runs stop at a
+// visit-count prefix and pin the WTO schedule's partial state.
 //
 // Regenerate with REPRO_UPDATE_GOLDEN=1 — but only ever from a tree
 // whose digests are already trusted; the file is the contract.
@@ -24,9 +28,9 @@ import (
 
 const goldenDigestFile = "testdata/golden_digests.json"
 
-// goldenFixtures mirrors the determinism suite: fig1 runs to its fixed
-// point, the kernels run under a visit bound (partial fixed points are
-// just as representation-sensitive and far cheaper).
+// goldenFixtures mirrors the determinism suite: fig1 and popfree run
+// to their fixed points, the kernels run under a visit bound (partial
+// fixed points are just as representation-sensitive and far cheaper).
 var goldenFixtures = []struct {
 	name      string
 	src       func(t *testing.T) *ir.Program
@@ -36,6 +40,7 @@ var goldenFixtures = []struct {
 	{"barneshut", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "barneshut"); return p }, 300},
 	{"lu", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "lu"); return p }, 300},
 	{"matvec", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "matvec"); return p }, 300},
+	{"popfree", func(t *testing.T) *ir.Program { return compileSrc(t, popFreeSource) }, 0},
 }
 
 func TestGoldenDigestEquivalence(t *testing.T) {
@@ -55,12 +60,7 @@ func TestGoldenDigestEquivalence(t *testing.T) {
 		prog := fx.src(t)
 		for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
 			key := fx.name + "/" + lvl.String()
-			// Pinned to the RPO scheduler: the goldens were recorded under
-			// it, and the kernels' bounded runs stop at a visit-count
-			// prefix whose contents are schedule-dependent. The goldens
-			// pin representation equivalence, not scheduling; the sched
-			// dimension is covered by the determinism matrix instead.
-			res, err := analysis.Run(prog, analysis.Options{Level: lvl, MaxVisits: fx.maxVisits, Sched: analysis.SchedRPO})
+			res, err := analysis.Run(prog, analysis.Options{Level: lvl, MaxVisits: fx.maxVisits})
 			if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
 				t.Fatalf("%s: %v", key, err)
 			}

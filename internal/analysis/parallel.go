@@ -20,8 +20,8 @@ import (
 // but the two hot inner loops fan out over a worker pool:
 //
 //   1. per-graph abstract transfers: the graphs of a statement's
-//      incoming RSRSG are independent frozen inputs, so their memo
-//      misses are dispatched as parallel jobs;
+//      incoming RSRSG are independent frozen inputs, so their steps
+//      are dispatched as parallel jobs;
 //   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDelta/
 //      UnionAll), reached through the rsrsg.Options.Exec hook.
 //
@@ -32,62 +32,50 @@ import (
 // diagnostics are folded back in job-index order. Workers=1 and
 // Workers=N therefore produce bit-identical per-statement digests.
 
-// parallelFanoutMin is the minimum number of memo misses at one
+// parallelFanoutMin is the minimum number of graphs to step at one
 // statement before the engine pays the goroutine fan-out cost; below
-// it the misses run inline on the coordinator.
+// it the steps run inline on the coordinator.
 const parallelFanoutMin = 2
 
 // engineRun is the per-Run mutable state shared between the worklist
-// coordinator and the transfer workers. The memo is only touched by
-// the coordinator (probes before fan-out, inserts after join); the
-// counters are atomics because rsrsg bucket tasks also run on workers.
+// coordinator and the transfer workers. The store probes and
+// write-throughs run on the coordinator only (before fan-out and after
+// join); the counters are atomics because rsrsg bucket tasks also run
+// on workers.
 type engineRun struct {
 	opts       Options
 	reduceOpts rsrsg.Options
 	workers    int
 	ctx        context.Context
 	cancel     context.CancelCauseFunc
-	memo       transferMemo
 	// rec is the run's private digest/freeze/intern recorder, threaded
 	// through reduceOpts.Stats into every reduction and restore of this
 	// run; Run snapshots it into Stats.Cache, which is what keeps cache
 	// stats exact when several Runs overlap in one process.
 	rec *rsg.RunStats
 
-	memoHits          atomic.Int64
-	memoMisses        atomic.Int64
 	parallelTransfers atomic.Int64
 	parallelJobs      atomic.Int64
 	storeMemoHits     atomic.Int64
 
-	// Persistent memo tier (persist.go), armed by planPersist when
+	// Persistent transfer memo (persist.go), armed by planPersist when
 	// Options.Store is set: stmtKeys holds each statement's transfer key
-	// (options fingerprint + context-free transfer digest). Probes and
-	// write-throughs run on the coordinator only, like the in-memory
-	// memo.
+	// (options fingerprint + context-free transfer digest).
 	store    *store.Store
 	stmtKeys []store.Key
 
 	// Semi-naïve transfer state (DESIGN.md §8), coordinator-only: the
-	// worklist loop is sequential, so plain fields suffice. noDelta
+	// worklist loop is sequential, so plain fields suffice. retired
 	// lists statements permanently retired to the full path (widening,
 	// TOUCH-erasure edges, missing delta state); delta holds each
 	// eligible statement's cached transfer state.
-	noDelta   map[int]struct{}
+	retired   map[int]struct{}
 	delta     map[int]*stmtDelta
 	eraseMemo absem.EraseMemo
-	// joinCache (reduceOpts.Joins) is shared across every in-state
-	// merge and accumulator re-reduction of a delta run: the same
-	// canonical graph pairs recur at successive program points as
-	// out-states propagate through the CFG, so pairwise compat/join
-	// work done for one statement is reused by its successors. Nil on
-	// NoDelta runs, which measure the stateless full path.
-	joinCache *rsrsg.JoinCache
 
 	deltaTransfers int
 	fullRecomputes int
 	dirtyBuckets   int
-	memoFull       int
 }
 
 // stmtDelta is one statement's cached semi-naïve transfer state.
@@ -105,19 +93,19 @@ type stmtDelta struct {
 
 // useDelta reports whether the statement is still on the delta path.
 func (e *engineRun) useDelta(id int) bool {
-	if e.opts.NoDelta {
+	if e.opts.fullRecompute {
 		return false
 	}
-	_, off := e.noDelta[id]
+	_, off := e.retired[id]
 	return !off
 }
 
-// markNoDelta permanently retires a statement from the delta path and
+// retireDelta permanently retires a statement from the delta path and
 // drops its cached state. The switch is one-way: a statement whose
 // in-state deltas were not consumed even once has stale caches, so it
 // must never rejoin.
-func (e *engineRun) markNoDelta(id int) {
-	e.noDelta[id] = struct{}{}
+func (e *engineRun) retireDelta(id int) {
+	e.retired[id] = struct{}{}
 	delete(e.delta, id)
 }
 
@@ -141,9 +129,8 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 	e := &engineRun{
 		opts:    opts,
 		workers: workers,
-		memo:    make(transferMemo),
 		rec:     &rsg.RunStats{},
-		noDelta: make(map[int]struct{}),
+		retired: make(map[int]struct{}),
 		delta:   make(map[int]*stmtDelta),
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -161,22 +148,19 @@ func newEngineRun(opts Options, start time.Time) *engineRun {
 			parent(cause)
 		}
 	}
+	// One join cache is shared across every in-state merge and
+	// accumulator re-reduction of the run: the same canonical graph
+	// pairs recur at successive program points as out-states propagate
+	// through the CFG, so pairwise compat/join work done for one
+	// statement is reused by its successors.
 	e.reduceOpts = rsrsg.Options{
 		DisableJoin: opts.DisableJoin,
 		MaxGraphs:   opts.MaxGraphsPerStmt,
 		Stats:       e.rec,
+		Joins:       rsrsg.NewJoinCache(),
 	}
 	if workers > 1 {
 		e.reduceOpts.Exec = e.exec
-	}
-	if !opts.NoDelta {
-		// The join cache belongs to the semi-naïve subsystem: delta runs
-		// reuse pairwise compat/join work across visits and statements,
-		// while -nodelta measures the stateless PR 2 path, which
-		// recomputes every reduction from scratch. Results are identical
-		// either way — the cached primitives are pure functions.
-		e.joinCache = rsrsg.NewJoinCache()
-		e.reduceOpts.Joins = e.joinCache
 	}
 	return e
 }
@@ -246,15 +230,15 @@ func (e *engineRun) transferAny(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set, d
 		if ok {
 			return out, nil
 		}
-		e.markNoDelta(s.ID)
+		e.retireDelta(s.ID)
 	}
 	return e.transfer(ctx, s, in)
 }
 
 // transfer computes out = F(in) for one statement from the full
-// in-state: every member graph's part is recalled or recomputed, then
-// joined. This is the fallback path of the semi-naïve engine and the
-// only path under Options.NoDelta.
+// in-state: every member graph's part is recomputed (or recalled from
+// the store), then joined. This is the fallback path of the semi-naïve
+// engine.
 func (e *engineRun) transfer(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set) (*rsrsg.Set, error) {
 	switch s.Op {
 	case ir.OpAssumeNull:
@@ -338,49 +322,34 @@ func (e *engineRun) transferDelta(ctx *absem.Context, s *ir.Stmt, in *rsrsg.Set,
 	}
 }
 
-// partsFor recalls or computes the per-graph transfer parts for the
-// given (frozen) input graphs of a memoizable statement. Memo probes
-// run on the coordinator; the misses are dispatched over the worker
+// partsFor computes the per-graph transfer parts for the given
+// (frozen) input graphs of a per-graph statement. Store probes run on
+// the coordinator; the remaining graphs are dispatched over the worker
 // pool when there are enough of them. Each job steps one graph through
 // the abstract semantics into its pre-assigned slot with a private
 // diagnostics block and no nested executor; the coordinator then folds
-// diagnostics and memo inserts back in input order, so the parts (and
-// everything joined from them) are worker-count independent. Shared by
-// the full transfer (all in-graphs) and the delta transfer (Δin only).
+// diagnostics and store write-throughs back in input order, so the
+// parts (and everything joined from them) are worker-count
+// independent. Shared by the full transfer (all in-graphs) and the
+// delta transfer (Δin only).
 func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph) ([]*rsrsg.Set, error) {
-	cache := e.memo[s.ID]
-	if cache == nil {
-		cache = newStmtMemo()
-		e.memo[s.ID] = cache
-	}
 	type job struct {
 		g    *rsg.Graph
 		dig  rsg.Digest
 		slot int
 	}
-	parts := make([]*rsrsg.Set, 0, len(graphs))
-	var jobs []job
-	for _, g := range graphs {
+	parts := make([]*rsrsg.Set, len(graphs))
+	jobs := make([]job, 0, len(graphs))
+	for i, g := range graphs {
 		dig := g.Digest()
-		if part, ok := cache.get(dig); ok {
-			e.memoHits.Add(1)
-			parts = append(parts, part)
-			continue
-		}
-		e.memoMisses.Add(1)
-		// Second tier: the persistent store. A hit rebuilds the part
-		// from content-addressed graphs (digest-verified on decode) and
-		// fills the in-memory cache so repeats stay off the disk.
 		if e.store != nil {
 			if part, ok := e.storeMemoGet(s.ID, dig); ok {
 				e.storeMemoHits.Add(1)
-				cache.put(dig, part)
-				parts = append(parts, part)
+				parts[i] = part
 				continue
 			}
 		}
-		jobs = append(jobs, job{g: g, dig: dig, slot: len(parts)})
-		parts = append(parts, nil)
+		jobs = append(jobs, job{g: g, dig: dig, slot: i})
 	}
 	if e.workers > 1 && len(jobs) >= parallelFanoutMin {
 		e.parallelTransfers.Add(1)
@@ -413,72 +382,12 @@ func (e *engineRun) partsFor(ctx *absem.Context, s *ir.Stmt, graphs []*rsg.Graph
 			parts[j.slot] = stepGraphSet(ctx, s, j.g)
 		}
 	}
-	for _, j := range jobs {
-		if cache.put(j.dig, parts[j.slot]) {
-			e.memoFull++
-		}
-		if e.store != nil {
+	if e.store != nil {
+		for _, j := range jobs {
 			e.storeMemoPut(s.ID, j.dig, parts[j.slot])
 		}
 	}
 	return parts, nil
-}
-
-// stmtMemo is one statement's transfer memo: input-graph digest →
-// transfer part. Past memoCap entries it evicts with a clock
-// (second-chance) sweep: probes mark their slot used; an insert at
-// capacity advances the hand, clearing used marks, and replaces the
-// first cold slot — within two laps one is guaranteed. Memo values are
-// pure functions of the digest, so eviction can only cost
-// recomputation, never change results.
-type stmtMemo struct {
-	m    map[rsg.Digest]*memoSlot
-	ring []rsg.Digest
-	hand int
-}
-
-type memoSlot struct {
-	part *rsrsg.Set
-	used bool
-}
-
-func newStmtMemo() *stmtMemo {
-	return &stmtMemo{m: make(map[rsg.Digest]*memoSlot)}
-}
-
-func (c *stmtMemo) get(dig rsg.Digest) (*rsrsg.Set, bool) {
-	slot, ok := c.m[dig]
-	if !ok {
-		return nil, false
-	}
-	slot.used = true
-	return slot.part, true
-}
-
-// put inserts dig → part and reports whether a resident entry was
-// evicted to make room.
-func (c *stmtMemo) put(dig rsg.Digest, part *rsrsg.Set) bool {
-	if _, ok := c.m[dig]; ok {
-		return false
-	}
-	if len(c.ring) < memoCap {
-		c.ring = append(c.ring, dig)
-		c.m[dig] = &memoSlot{part: part}
-		return false
-	}
-	for {
-		victim := c.m[c.ring[c.hand]]
-		if victim.used {
-			victim.used = false
-			c.hand = (c.hand + 1) % len(c.ring)
-			continue
-		}
-		delete(c.m, c.ring[c.hand])
-		c.ring[c.hand] = dig
-		c.hand = (c.hand + 1) % len(c.ring)
-		c.m[dig] = &memoSlot{part: part}
-		return true
-	}
 }
 
 // stepGraphSet steps one graph through a statement's abstract

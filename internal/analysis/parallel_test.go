@@ -92,18 +92,17 @@ func fingerprint(res *analysis.Result) string {
 }
 
 // TestParallelDeterminism runs the determinism property over the
-// fixture programs x levels L1-L3 x scheduler {wto,rpo} x Workers in
-// {1,2,4,8} x delta propagation {on,off}: within one scheduler every
-// configuration must produce identical per-statement digest sets, and
-// a repeated run of the last configuration must agree with the first
-// (no hidden schedule dependence). Across schedulers the fingerprints
-// are also compared — but only on fixtures that run to their fixed
-// point without widening, where the fixed point is schedule-
-// independent; bounded kernels stop at a visit-count prefix whose
-// contents legitimately differ per scheduler. The heavy kernels run
-// under a visit bound — partial fixed points exercise the same code
-// paths and must be just as deterministic, and they catch any
-// delta/full divergence long before the fixed point would mask it.
+// fixture programs x levels L1-L3 x Workers in {1,2,4,8} x delta
+// propagation {on,off}: every configuration must produce identical
+// per-statement digest sets, and a repeated run of the last
+// configuration must agree with the first (no hidden schedule
+// dependence). The delta-off configurations keep every statement on
+// the full-recompute path, the reference the semi-naïve transfer must
+// reproduce. The heavy kernels run under a visit bound — partial fixed
+// points exercise the same code paths and must be just as
+// deterministic, and they catch any delta/full divergence long before
+// the fixed point would mask it. Agreement with a second scheduler is
+// pinned by the golden digests (golden_test.go).
 func TestParallelDeterminism(t *testing.T) {
 	fixtures := []struct {
 		name      string
@@ -113,88 +112,65 @@ func TestParallelDeterminism(t *testing.T) {
 		{"fig1", func(t *testing.T) *ir.Program { return compileSrc(t, fig1PipelineSource) }, 0},
 		{"barneshut", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "barneshut"); return p }, 300},
 		{"lu", func(t *testing.T) *ir.Program { p, _ := compileKernel(t, "lu"); return p }, 300},
-		// popFreeSource exercises the OpFree transfer (and its delta memo
+		// popFreeSource exercises the OpFree transfer (and its delta
 		// path) in the matrix: deallocation must be just as schedule-
 		// independent as the constructive sentences.
 		{"popfree", func(t *testing.T) *ir.Program { return compileSrc(t, popFreeSource) }, 0},
 	}
 	type config struct {
-		sched   analysis.Sched
-		workers int
-		noDelta bool
+		workers       int
+		fullRecompute bool
 	}
-	scheds := []analysis.Sched{analysis.SchedWTO, analysis.SchedRPO}
 	var configs []config
-	for _, sched := range scheds {
-		if testing.Short() {
-			for _, w := range []int{1, 4} {
-				configs = append(configs, config{sched, w, false}, config{sched, w, true})
-			}
-		} else {
-			for _, w := range []int{1, 2, 4, 8} {
-				configs = append(configs, config{sched, w, false})
-			}
-			configs = append(configs, config{sched, 1, true}, config{sched, 8, true})
+	if testing.Short() {
+		for _, w := range []int{1, 4} {
+			configs = append(configs, config{w, false}, config{w, true})
 		}
+	} else {
+		for _, w := range []int{1, 2, 4, 8} {
+			configs = append(configs, config{w, false})
+		}
+		configs = append(configs, config{1, true}, config{8, true})
+	}
+	run := func(prog *ir.Program, lvl rsg.Level, maxVisits int, cfg config) (*analysis.Result, error) {
+		opts := analysis.Options{Level: lvl, MaxVisits: maxVisits, Workers: cfg.workers}
+		if cfg.fullRecompute {
+			opts = analysis.FullRecomputeForTest(opts)
+		}
+		res, err := analysis.Run(prog, opts)
+		if maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence) {
+			err = nil // bounded run: the partial state is the fixture
+		}
+		return res, err
 	}
 	for _, fx := range fixtures {
 		t.Run(fx.name, func(t *testing.T) {
 			prog := fx.prog(t)
 			for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
-				want := map[analysis.Sched]string{}
-				wantErr := map[analysis.Sched]error{}
-				widenings := map[analysis.Sched]int{}
-				first := map[analysis.Sched]config{}
-				for _, cfg := range configs {
-					res, err := analysis.Run(prog, analysis.Options{
-						Level: lvl, MaxVisits: fx.maxVisits, Sched: cfg.sched,
-						Workers: cfg.workers, NoDelta: cfg.noDelta,
-					})
-					if fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence) {
-						err = nil // bounded run: the partial state is the fixture
-					}
-					ref, seen := first[cfg.sched]
-					if !seen {
-						first[cfg.sched] = cfg
-						wantErr[cfg.sched] = err
-						widenings[cfg.sched] = res.Stats.Widenings
-					} else if (err == nil) != (wantErr[cfg.sched] == nil) {
-						t.Fatalf("%s %v: %+v error %v, %+v error %v",
-							fx.name, lvl, ref, wantErr[cfg.sched], cfg, err)
-					}
+				var want string
+				for i, cfg := range configs {
+					res, err := run(prog, lvl, fx.maxVisits, cfg)
 					if err != nil {
 						t.Fatalf("%s %v %+v: %v", fx.name, lvl, cfg, err)
 					}
 					got := fingerprint(res)
-					if !seen {
-						want[cfg.sched] = got
+					if i == 0 {
+						want = got
 						continue
 					}
-					if got != want[cfg.sched] {
+					if got != want {
 						t.Fatalf("%s %v: %+v diverged from %+v:\n--- want\n%s\n--- got\n%s",
-							fx.name, lvl, cfg, ref, want[cfg.sched], got)
-					}
-				}
-				// Cross-scheduler agreement: a run that converges without
-				// widening reaches the schedule-independent fixed point, so
-				// WTO and RPO must land on identical digests there.
-				if fx.maxVisits == 0 && widenings[analysis.SchedWTO] == 0 && widenings[analysis.SchedRPO] == 0 {
-					if want[analysis.SchedWTO] != want[analysis.SchedRPO] {
-						t.Fatalf("%s %v: wto and rpo fixed points diverged with no widening:\n--- wto\n%s\n--- rpo\n%s",
-							fx.name, lvl, want[analysis.SchedWTO], want[analysis.SchedRPO])
+							fx.name, lvl, cfg, configs[0], want, got)
 					}
 				}
 				// Schedule independence: a second run of the last
 				// configuration must reproduce the first bit for bit.
 				last := configs[len(configs)-1]
-				res, err := analysis.Run(prog, analysis.Options{
-					Level: lvl, MaxVisits: fx.maxVisits, Sched: last.sched,
-					Workers: last.workers, NoDelta: last.noDelta,
-				})
-				if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
+				res, err := run(prog, lvl, fx.maxVisits, last)
+				if err != nil {
 					t.Fatalf("%s %v repeat %+v: %v", fx.name, lvl, last, err)
 				}
-				if got := fingerprint(res); got != want[last.sched] {
+				if got := fingerprint(res); got != want {
 					t.Fatalf("%s %v: repeated %+v run disagrees with itself", fx.name, lvl, last)
 				}
 			}

@@ -29,8 +29,8 @@ import (
 //   - cold: no usable snapshot — run normally and, on a clean outcome,
 //     record the per-statement fixpoint as a new snapshot.
 //
-// Independently of the mode, the per-statement transfer memo gains a
-// persistent tier: in-memory misses probe the store by (transfer key,
+// Independently of the mode, per-graph transfers are memoized in the
+// store: every part the engine needs is first probed by (transfer key,
 // input digest), and computed parts are written through. Every store
 // read failure — absent record, corrupt bytes, digest mismatch —
 // degrades to a miss (ultimately to a cold run), never to a wrong
@@ -41,8 +41,10 @@ import (
 // existing store entry (they simply stop matching), which is the
 // invalidation story for semantics changes in the engine. Schema 2:
 // the WTO scheduler landed (DESIGN.md §14) — widening points moved,
-// so pre-WTO snapshots must not warm-start either scheduler.
-const persistSchema = 2
+// so pre-WTO snapshots must not warm-start. Schema 3: the RPO
+// scheduler and the legacy-unsound ablation were retired and the
+// fingerprint stopped covering them, so older keys must not collide.
+const persistSchema = 3
 
 type persistMode int
 
@@ -73,11 +75,10 @@ type persistPlan struct {
 }
 
 // optionsFingerprint hashes every option that changes analysis
-// *results* — level, reduction and soundness knobs, and the widening
-// threshold. Budgets (MaxVisits, NodeBudget, Timeout) are deliberately
-// excluded and handled by the snapshot eligibility rules; Workers and
-// NoDelta are excluded because any setting produces bit-identical
-// digests (DESIGN.md §7–8).
+// *results* — level, reduction knobs, and the widening threshold.
+// Budgets (MaxVisits, NodeBudget, Timeout) are deliberately excluded
+// and handled by the snapshot eligibility rules; Workers is excluded
+// because any setting produces bit-identical digests (DESIGN.md §7).
 func optionsFingerprint(opts Options) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -99,14 +100,8 @@ func optionsFingerprint(opts Options) uint64 {
 	putBool(opts.DisableCyclePrune)
 	putBool(opts.NoCompress)
 	putBool(opts.TouchAllPvars)
-	putBool(opts.LegacyUnsound)
-	// The scheduler and its widening thresholds are result-affecting:
-	// the two schedulers agree only on runs that converge without
-	// widening, and bounded runs snapshot a schedule-dependent prefix.
-	// Keying the fingerprint on them keeps snapshots exchangeable only
-	// within one schedule.
-	put(uint64(opts.Sched))
-	put(widenAfter)
+	// The widening threshold is result-affecting: bounded runs snapshot
+	// a schedule-dependent prefix, and widening moves the fixed point.
 	put(widenHeadAfter)
 	return h.Sum64()
 }

@@ -1,8 +1,8 @@
 package analysis_test
 
-// Property test tying the two schedulers' views of the CFG together:
-// on the reducible CFGs the mini-C dialect produces, the flat RPO and
-// the WTO loop forest must classify exactly the same edges as back
+// Property test tying two views of the CFG together: on the reducible
+// CFGs the mini-C dialect produces, a flat reverse postorder and the
+// WTO loop forest must classify exactly the same edges as back
 // edges, and every back edge must target the head of a WTO component
 // containing its source — the invariant that lets the recursive
 // strategy confine iteration to components. Runs over every bench
@@ -12,15 +12,43 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/benchprog"
 	"repro/internal/concrete"
 	"repro/internal/ir"
 )
 
+// reversePostOrder computes an RPO over the CFG from the entry — the
+// reference order the WTO's back-edge classification is checked
+// against.
+func reversePostOrder(prog *ir.Program) []int {
+	seen := make([]bool, len(prog.Stmts))
+	var post []int
+	var dfs func(int)
+	dfs = func(id int) {
+		seen[id] = true
+		for _, s := range prog.Stmts[id].Succs {
+			if !seen[s] {
+				dfs(s)
+			}
+		}
+		post = append(post, id)
+	}
+	dfs(prog.Entry)
+	for id := range prog.Stmts {
+		if !seen[id] {
+			dfs(id)
+		}
+	}
+	out := make([]int, len(post))
+	for i, id := range post {
+		out[len(post)-1-i] = id
+	}
+	return out
+}
+
 func checkWTOAgreesWithRPO(t *testing.T, name string, prog *ir.Program) {
 	t.Helper()
-	rpo := analysis.ReversePostOrderForTest(prog)
+	rpo := reversePostOrder(prog)
 	idx := make([]int, len(prog.Stmts))
 	for i, id := range rpo {
 		idx[id] = i

@@ -2,7 +2,7 @@
 // the fuzzer find: a hub h keeps two selectors into the growing chain
 // while the chain head rotates (p = q). The pre-anchoring PRUNE evicted
 // the hub's prv sharing and dropped reachable heaps at L1; see
-// analysis.Options.LegacyUnsound and DESIGN.md §11.
+// DESIGN.md §11.
 struct node { struct node *nxt; struct node *prv; };
 void main(void) {
     struct node *h;

@@ -121,8 +121,6 @@ func (e *epStats) observe(d time.Duration) {
 type aggStats struct {
 	runs            atomic.Int64
 	visits          atomic.Int64
-	memoHits        atomic.Int64
-	memoMisses      atomic.Int64
 	reusedStmts     atomic.Int64
 	graphsFrozen    atomic.Int64
 	digestsComputed atomic.Int64
@@ -133,8 +131,6 @@ type aggStats struct {
 func (a *aggStats) add(s *analysis.Stats) {
 	a.runs.Add(1)
 	a.visits.Add(int64(s.Visits))
-	a.memoHits.Add(int64(s.MemoHits))
-	a.memoMisses.Add(int64(s.MemoMisses))
 	a.reusedStmts.Add(int64(s.ReusedStatements))
 	a.graphsFrozen.Add(int64(s.Cache.GraphsFrozen))
 	a.digestsComputed.Add(int64(s.Cache.DigestsComputed))
@@ -291,8 +287,6 @@ type StoreStats struct {
 type AnalysisTotals struct {
 	Runs            int64 `json:"runs"`
 	Visits          int64 `json:"visits"`
-	MemoHits        int64 `json:"memo_hits"`
-	MemoMisses      int64 `json:"memo_misses"`
 	ReusedStmts     int64 `json:"reused_statements"`
 	GraphsFrozen    int64 `json:"graphs_frozen"`
 	DigestsComputed int64 `json:"digests_computed"`
@@ -326,8 +320,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		Analysis: AnalysisTotals{
 			Runs:            s.agg.runs.Load(),
 			Visits:          s.agg.visits.Load(),
-			MemoHits:        s.agg.memoHits.Load(),
-			MemoMisses:      s.agg.memoMisses.Load(),
 			ReusedStmts:     s.agg.reusedStmts.Load(),
 			GraphsFrozen:    s.agg.graphsFrozen.Load(),
 			DigestsComputed: s.agg.digestsComputed.Load(),

@@ -9,13 +9,15 @@ import (
 	"repro/internal/cminic"
 	"repro/internal/ir"
 	"repro/internal/rsg"
+	"repro/internal/rsrsg"
 )
 
 // hubRelinkSrc is the undistilled reproducer of the L1 hub-rotation
 // soundness gap: a hub with two selectors into one target, a loop that
-// links back into the hub and rotates `p = q`. Under the legacy
-// (pre-anchoring) PRUNE it yields an RSRSG that misses reachable heaps;
-// the fixed engine covers them. The committed corpus case
+// links back into the hub and rotates `p = q`. A PRUNE that let a
+// definite link out of an unanchored JOIN copy evict its siblings
+// yielded an RSRSG that missed reachable heaps; the current engine
+// covers them. The committed corpus case
 // internal/concrete/testdata/hub_rotation.c is this program after
 // Shrink.
 const hubRelinkSrc = `
@@ -52,30 +54,51 @@ func compileSrc(t *testing.T, src string) *ir.Program {
 	return prog
 }
 
-func legacyOpts() analysis.Options {
-	return analysis.Options{Level: rsg.L1, MaxVisits: 50000, LegacyUnsound: true}
-}
-
 func fixedOpts() analysis.Options {
 	return analysis.Options{Level: rsg.L1, MaxVisits: 50000}
 }
 
-// TestExplainNamesLegacyFailure drives the explainer over the legacy
-// engine's unsound result: the report must name the failing statement
-// and the node property that rejected the nearest embedding, and the
-// DOT pair must carry both clusters.
+// hubRelinkStmt returns the ID of the hub re-link `h->prv = q` inside
+// a loop, or -1 when the program has none.
+func hubRelinkStmt(prog *ir.Program) int {
+	for id := range prog.Stmts {
+		if prog.InLoop(id) && prog.Stmt(id).String() == "h->prv = q" {
+			return id
+		}
+	}
+	return -1
+}
+
+// TestExplainNamesLegacyFailure drives the explainer over an unsound
+// result of the hub-rotation kind — the fixed engine's result with
+// graphs dropped from the hub re-link's out-state: the report must
+// name the failing statement and the node property that rejected the
+// nearest embedding, and the DOT pair must carry both clusters.
 func TestExplainNamesLegacyFailure(t *testing.T) {
 	prog := compileSrc(t, hubRelinkSrc)
-	res, err := analysis.Run(prog, legacyOpts())
+	res, err := analysis.Run(prog, fixedOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := hubRelinkStmt(prog)
+	if id < 0 || res.Out[id].Len() < 2 {
+		t.Fatalf("no hub re-link with graphs to drop (statement %d)", id)
+	}
+	// Keep only the first member graph (in digest order): a deliberately
+	// unsound result of the hub-rotation bug's shape, an RSRSG that
+	// drops reachable configurations.
+	kept := rsrsg.New()
+	kept.Add(res.Out[id].Graphs()[0])
+	res.Out[id] = kept
 	rep, err := Explain(prog, res, 25, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep == nil {
-		t.Fatal("legacy engine unexpectedly covers the hub-rotation heaps; the ablation lost its bug")
+		t.Fatal("truncated result still covers the hub-rotation heaps; the explainer has nothing to explain")
+	}
+	if rep.Fail.StmtID != id {
+		t.Errorf("failure reported at statement %d, want the truncated statement %d", rep.Fail.StmtID, id)
 	}
 	text := rep.Text()
 	if !strings.Contains(text, rep.Fail.Stmt) {
@@ -124,25 +147,31 @@ func TestFixedEngineCoversHubRelink(t *testing.T) {
 	}
 }
 
-// TestShrinkerProperties is the shrinker's contract on the hub-rotation
-// find: the output still fails the pre-fix (legacy) engine, no longer
-// fails the fixed engine, and is no larger than the input in
-// statements.
-func TestShrinkerProperties(t *testing.T) {
-	if testing.Short() {
-		t.Skip("shrinking runs the analysis per candidate")
+// hubRelinkInLoop is a synthetic shrinking predicate: the candidate
+// compiles and still re-links the hub (`h->prv = q`) inside a loop.
+// It keeps the shrinker's contract checkable without an analysis run
+// per candidate.
+func hubRelinkInLoop(src string) bool {
+	file, err := cminic.Parse(src)
+	if err != nil {
+		return false
 	}
-	legacy := SoundnessPredicate(legacyOpts(), 10, 42)
-	fixed := SoundnessPredicate(fixedOpts(), 10, 42)
-	out, err := Shrink(hubRelinkSrc, legacy)
+	prog, err := ir.LowerMain(file)
+	return err == nil && hubRelinkStmt(prog) >= 0
+}
+
+// TestShrinkerProperties is the shrinker's contract on the hub-rotation
+// program under a synthetic predicate: the output still satisfies the
+// predicate, parses, is strictly smaller than the input in statements,
+// and is 1-minimal — dropping any single remaining statement breaks
+// the predicate.
+func TestShrinkerProperties(t *testing.T) {
+	out, err := Shrink(hubRelinkSrc, hubRelinkInLoop)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !legacy(out) {
-		t.Fatalf("shrunk program no longer fails the legacy engine:\n%s", out)
-	}
-	if fixed(out) {
-		t.Fatalf("shrunk program still fails the fixed engine:\n%s", out)
+	if !hubRelinkInLoop(out) {
+		t.Fatalf("shrunk program no longer satisfies the predicate:\n%s", out)
 	}
 	nIn, err := StmtCount(hubRelinkSrc)
 	if err != nil {
@@ -152,25 +181,30 @@ func TestShrinkerProperties(t *testing.T) {
 	if err != nil {
 		t.Fatalf("shrunk program does not parse: %v\n%s", err, out)
 	}
-	if nOut > nIn {
-		t.Fatalf("shrunk program grew: %d -> %d statements\n%s", nIn, nOut, out)
+	if nOut >= nIn {
+		t.Fatalf("shrunk program did not shrink: %d -> %d statements\n%s", nIn, nOut, out)
+	}
+	file, err := cminic.Parse(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < nOut; i++ {
+		if cand := emitWithout(file, i, i+1); hubRelinkInLoop(cand) {
+			t.Errorf("not 1-minimal: still satisfies the predicate without statement %d:\n%s", i, cand)
+		}
 	}
 	t.Logf("shrunk %d -> %d statements:\n%s", nIn, nOut, out)
 }
 
-// TestHubRotationCorpusBeforeAfter pins the committed corpus case:
-// failing on the legacy engine, covered by the fixed one (the fixed
-// side is also swept by TestCorpusSoundness at L1/L2/L3).
+// TestHubRotationCorpusBeforeAfter pins the committed corpus case: the
+// fixed engine covers it (it is also swept by TestCorpusSoundness at
+// L1/L2/L3).
 func TestHubRotationCorpusBeforeAfter(t *testing.T) {
 	b, err := os.ReadFile("../concrete/testdata/hub_rotation.c")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := string(b)
-	if !SoundnessPredicate(legacyOpts(), 10, 42)(src) {
-		t.Fatalf("hub_rotation.c no longer fails the legacy engine")
-	}
-	if SoundnessPredicate(fixedOpts(), 10, 42)(src) {
+	if SoundnessPredicate(fixedOpts(), 10, 42)(string(b)) {
 		t.Fatalf("hub_rotation.c fails the fixed engine")
 	}
 }
