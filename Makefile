@@ -23,18 +23,20 @@ test:
 # interner (rsg), the Exec-driven bucket reductions (rsrsg), the
 # worker fan-out itself (analysis), the shared append-only store, and
 # the daemon that multiplexes requests over all of them. -short keeps
-# the heavyweight kernels out of the instrumented run.
+# the heavyweight kernels out of the instrumented run, but not
+# TestRunLeavesProgramUntouched: two concurrent Runs of one compiled
+# program (barneshut and matvec, L1 and L3) must stay race-free.
 test-race:
 	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
 
 # One iteration over the benchmark surfaces a change is most likely to
-# rot: the digest-core micro-benches, the Figure-1 pipeline, the
-# Barnes-Hut L1 macro cell, and the semi-naïve delta cell, plus a short
-# run of the determinism suite (worker count x delta/full path must
-# stay bit-identical).
+# rot: the digest-core micro-benches, the Figure-1 and Figure-2
+# pipelines, the Barnes-Hut L1 macro cell, and the semi-naïve delta
+# cell, plus a short run of the determinism suite (worker count x
+# delta/full path must stay bit-identical).
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest' -benchtime=1x ./internal/rsg/
-	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkDeltaBarnesHutL1_On$$' -benchtime=1x .
+	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkFigure2Pipeline$$|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkDeltaBarnesHutL1_On$$' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/
 
 # One-rep benchtab run over the snapshot's cold cells, printing

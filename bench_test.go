@@ -28,9 +28,11 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/absem"
 	"repro/internal/analysis"
 	"repro/internal/benchprog"
 	"repro/internal/rsg"
+	"repro/internal/rsrsg"
 )
 
 // benchVisits bounds the engine work per bench iteration in the default
@@ -161,11 +163,24 @@ func BenchmarkFigure2Pipeline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := analysis.PipelineStep(rsg.L1, in, "first", "nxt")
+		out := firstNxtNil(rsg.L1, in)
 		if out.Len() == 0 {
 			b.Fatal("pipeline produced no graphs")
 		}
 	}
+}
+
+// firstNxtNil pushes an RSRSG through the destructive sentence
+// "first->nxt = NULL": the full Fig. 2 per-sentence pipeline (division,
+// pruning, materialization, interpretation, compression and union).
+func firstNxtNil(lvl rsg.Level, in *rsrsg.Set) *rsrsg.Set {
+	ctx := &absem.Context{Level: lvl}
+	first, nxt := rsg.PvarSym("first"), rsg.SelSym("nxt")
+	var out []*rsg.Graph
+	for _, g := range in.Graphs() {
+		out = append(out, absem.StepSelNilSym(ctx, g, first, nxt)...)
+	}
+	return rsrsg.FromGraphs(lvl, out, rsrsg.Options{})
 }
 
 // ---- Figure 3: the Barnes-Hut progressive case study -------------------
@@ -271,7 +286,7 @@ func TestFigurePipelinesUnderFreezeGuard(t *testing.T) {
 		}
 		in := res.ExitSet()
 		before := in.Digest()
-		if out := analysis.PipelineStep(lvl, in, "first", "nxt"); out.Len() == 0 {
+		if out := firstNxtNil(lvl, in); out.Len() == 0 {
 			t.Fatalf("%v: pipeline produced no graphs", lvl)
 		}
 		if in.Digest() != before {

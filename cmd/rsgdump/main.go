@@ -44,6 +44,10 @@ func main() {
 		fmt.Print(prog)
 		return
 	}
+	if flagSet("stmt") && (*stmtID < 0 || *stmtID >= len(prog.Stmts)) {
+		fmt.Fprintf(os.Stderr, "rsgdump: -stmt %d out of range [0, %d)\n", *stmtID, len(prog.Stmts))
+		os.Exit(2)
+	}
 
 	res, err := analysis.Run(prog, analysis.Options{Level: rsg.Level(*level)})
 	if err != nil {
@@ -84,6 +88,13 @@ func main() {
 			fmt.Println(set)
 		}
 	}
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func load(arg string) (*ir.Program, error) {

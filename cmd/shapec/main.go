@@ -92,7 +92,7 @@ func main() {
 		for name, set := range map[string]bool{
 			"-progressive": *progressive, "-dot": *dot, "-ir": *dumpIR,
 			"-loops": *loops, "-explain": *explain,
-			"-stmt": *stmt >= 0, "-cache-dir": *cacheDir != "",
+			"-stmt": flagSet("stmt"), "-cache-dir": *cacheDir != "",
 		} {
 			if set {
 				fatal(fmt.Errorf("%s is not supported with -remote (the daemon owns the store and returns digests, not graphs)", name))
@@ -156,6 +156,10 @@ func main() {
 		prog.Name = arg
 	}
 
+	if flagSet("stmt") && (*stmt < 0 || *stmt >= len(prog.Stmts)) {
+		fmt.Fprintf(os.Stderr, "shapec: -stmt %d out of range [0, %d)\n", *stmt, len(prog.Stmts))
+		os.Exit(2)
+	}
 	if *dumpIR {
 		fmt.Println(prog)
 	}
@@ -307,6 +311,13 @@ func runRemote(base, arg string, level, budget int, stats bool) int {
 		return 1
 	}
 	return 0
+}
+
+// flagSet reports whether the named flag was given on the command line.
+func flagSet(name string) bool {
+	set := false
+	flag.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }
 
 func fatal(err error) {

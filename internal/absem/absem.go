@@ -10,10 +10,13 @@
 // result is compressed, and the resulting graphs are reduced into the
 // output RSRSG by joining compatible ones.
 //
-// The per-graph transfer functions (StepNil, StepLoad, ...) live in
-// stepgraph.go; the Set-level functions here map them over an RSRSG and
-// reduce. The analysis engine calls the per-graph functions directly so
-// it can memoize them per (statement, graph-signature).
+// The per-graph transfer functions (StepNilSym, StepLoadSym, ...) live
+// in stepgraph.go and free.go, addressed by interned symbols; the
+// analysis engine maps them over an RSRSG itself (in parallel, and
+// memoized through the persistent store), then reduces. The set-level
+// functions here are the ones the engine applies to whole RSRSGs: the
+// condition filters (assume.go) and the TOUCH erasure on loop-exit
+// edges.
 //
 // More complex pointer statements are built from these six plus
 // temporary pvars by the frontend (internal/ir).
@@ -106,39 +109,6 @@ func mapStep(ctx *Context, in *rsrsg.Set, f func(*rsg.Graph) []*rsg.Graph) *rsrs
 		out = append(out, f(g)...)
 	}
 	return ctx.reduce(out)
-}
-
-// XNil is the abstract semantics of "x = NULL".
-func XNil(ctx *Context, in *rsrsg.Set, x string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepNil(ctx, g, x) })
-}
-
-// XMalloc is the abstract semantics of "x = malloc(sizeof(struct typ))".
-func XMalloc(ctx *Context, in *rsrsg.Set, x, typ string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepMalloc(ctx, g, x, typ) })
-}
-
-// XCopy is the abstract semantics of "x = y".
-func XCopy(ctx *Context, in *rsrsg.Set, x, y string) *rsrsg.Set {
-	if x == y {
-		return in.Clone()
-	}
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepCopy(ctx, g, x, y) })
-}
-
-// XSelNil is the abstract semantics of "x->sel = NULL".
-func XSelNil(ctx *Context, in *rsrsg.Set, x, sel string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepSelNil(ctx, g, x, sel) })
-}
-
-// XSelCopy is the abstract semantics of "x->sel = y".
-func XSelCopy(ctx *Context, in *rsrsg.Set, x, sel, y string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepSelCopy(ctx, g, x, sel, y) })
-}
-
-// XLoad is the abstract semantics of "x = y->sel".
-func XLoad(ctx *Context, in *rsrsg.Set, x, y, sel string) *rsrsg.Set {
-	return mapStep(ctx, in, func(g *rsg.Graph) []*rsg.Graph { return StepLoad(ctx, g, x, y, sel) })
 }
 
 // EraseTouch removes the given induction pvars from every TOUCH set in

@@ -21,6 +21,53 @@ func empty() *rsrsg.Set {
 	return single(rsg.NewGraph())
 }
 
+// stmt is one statement's per-graph transfer, built from names by the
+// constructors below and interned into the symbol-addressed API.
+type stmt func(c *Context, g *rsg.Graph) []*rsg.Graph
+
+func nilStmt(x string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph { return StepNilSym(c, g, rsg.PvarSym(x)) }
+}
+
+func mallocStmt(x, typ string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph {
+		return StepMallocSym(c, g, rsg.PvarSym(x), rsg.TypeSym(typ))
+	}
+}
+
+func copyStmt(x, y string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph {
+		return StepCopySym(c, g, rsg.PvarSym(x), rsg.PvarSym(y))
+	}
+}
+
+func selNilStmt(x, sel string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph {
+		return StepSelNilSym(c, g, rsg.PvarSym(x), rsg.SelSym(sel))
+	}
+}
+
+func selCopyStmt(x, sel, y string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph {
+		return StepSelCopySym(c, g, rsg.PvarSym(x), rsg.SelSym(sel), rsg.PvarSym(y))
+	}
+}
+
+func loadStmt(x, y, sel string) stmt {
+	return func(c *Context, g *rsg.Graph) []*rsg.Graph {
+		return StepLoadSym(c, g, rsg.PvarSym(x), rsg.PvarSym(y), rsg.SelSym(sel))
+	}
+}
+
+// apply runs the statements in order over the RSRSG, mapping each
+// per-graph transfer over the set and reducing.
+func apply(c *Context, in *rsrsg.Set, stmts ...stmt) *rsrsg.Set {
+	for _, st := range stmts {
+		in = mapStep(c, in, func(g *rsg.Graph) []*rsg.Graph { return st(c, g) })
+	}
+	return in
+}
+
 // buildList executes, abstractly, the statement sequence that builds a
 // singly-linked list of unbounded length:
 //
@@ -31,18 +78,11 @@ func empty() *rsrsg.Set {
 // returns the final set.
 func buildList(t *testing.T, c *Context) *rsrsg.Set {
 	t.Helper()
-	s := empty()
-	s = XMalloc(c, s, "head", "node")
-	s = XSelNil(c, s, "head", "nxt")
-	s = XCopy(c, s, "p", "head")
+	s := apply(c, empty(), mallocStmt("head", "node"), selNilStmt("head", "nxt"), copyStmt("p", "head"))
 
 	body := func(in *rsrsg.Set) *rsrsg.Set {
-		out := XMalloc(c, in, "q", "node")
-		out = XSelNil(c, out, "q", "nxt")
-		out = XSelCopy(c, out, "p", "nxt", "q")
-		out = XCopy(c, out, "p", "q")
-		out = XNil(c, out, "q")
-		return out
+		return apply(c, in, mallocStmt("q", "node"), selNilStmt("q", "nxt"),
+			selCopyStmt("p", "nxt", "q"), copyStmt("p", "q"), nilStmt("q"))
 	}
 	// Fixed point over "zero or more iterations".
 	cur := s
@@ -59,7 +99,7 @@ func buildList(t *testing.T, c *Context) *rsrsg.Set {
 
 func TestMallocCreatesSingleton(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "x", "node")
+	s := apply(c, empty(), mallocStmt("x", "node"))
 	if s.Len() != 1 {
 		t.Fatalf("got %d graphs, want 1", s.Len())
 	}
@@ -78,8 +118,8 @@ func TestMallocCreatesSingleton(t *testing.T) {
 
 func TestNilDropsUnreachable(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "x", "node")
-	s = XNil(c, s, "x")
+	s := apply(c, empty(), mallocStmt("x", "node"))
+	s = apply(c, s, nilStmt("x"))
 	g := s.Graphs()[0]
 	if g.NumNodes() != 0 {
 		t.Errorf("after x = NULL the heap node is garbage and must be collected, got:\n%s", g)
@@ -88,8 +128,8 @@ func TestNilDropsUnreachable(t *testing.T) {
 
 func TestCopyAliases(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "x", "node")
-	s = XCopy(c, s, "y", "x")
+	s := apply(c, empty(), mallocStmt("x", "node"))
+	s = apply(c, s, copyStmt("y", "x"))
 	g := s.Graphs()[0]
 	xt, yt := g.PvarTarget("x"), g.PvarTarget("y")
 	if xt == nil || yt == nil || xt.ID != yt.ID {
@@ -102,8 +142,8 @@ func TestCopyAliases(t *testing.T) {
 
 func TestSelfCopyIsIdentity(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "x", "node")
-	s2 := XCopy(c, s, "x", "x")
+	s := apply(c, empty(), mallocStmt("x", "node"))
+	s2 := apply(c, s, copyStmt("x", "x"))
 	if !s.Equal(s2) {
 		t.Errorf("x = x must not change the RSRSG")
 	}
@@ -111,9 +151,9 @@ func TestSelfCopyIsIdentity(t *testing.T) {
 
 func TestSelCopyLinksAndShareInfo(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "a", "node")
-	s = XMalloc(c, s, "b", "node")
-	s = XSelCopy(c, s, "a", "nxt", "b")
+	s := apply(c, empty(), mallocStmt("a", "node"))
+	s = apply(c, s, mallocStmt("b", "node"))
+	s = apply(c, s, selCopyStmt("a", "nxt", "b"))
 	g := s.Graphs()[0]
 	at, bt := g.PvarTarget("a"), g.PvarTarget("b")
 	if !g.HasLink(at.ID, "nxt", bt.ID) {
@@ -132,11 +172,11 @@ func TestSelCopyLinksAndShareInfo(t *testing.T) {
 
 func TestSelCopySharingDetected(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "a", "node")
-	s = XMalloc(c, s, "b", "node")
-	s = XMalloc(c, s, "t", "node")
-	s = XSelCopy(c, s, "a", "nxt", "t")
-	s = XSelCopy(c, s, "b", "nxt", "t")
+	s := apply(c, empty(), mallocStmt("a", "node"))
+	s = apply(c, s, mallocStmt("b", "node"))
+	s = apply(c, s, mallocStmt("t", "node"))
+	s = apply(c, s, selCopyStmt("a", "nxt", "t"))
+	s = apply(c, s, selCopyStmt("b", "nxt", "t"))
 	g := s.Graphs()[0]
 	tt := g.PvarTarget("t")
 	if !tt.Shared || !tt.SharedBy("nxt") {
@@ -146,7 +186,7 @@ func TestSelCopySharingDetected(t *testing.T) {
 	// Removing one of the two references makes the target unshared
 	// again (the remaining sources are all singletons, so the analysis
 	// can prove it).
-	s = XSelNil(c, s, "b", "nxt")
+	s = apply(c, s, selNilStmt("b", "nxt"))
 	g = s.Graphs()[0]
 	tt = g.PvarTarget("t")
 	if tt.SharedBy("nxt") {
@@ -159,8 +199,8 @@ func TestSelCopySharingDetected(t *testing.T) {
 
 func TestSelNilOnNullSelectorIsNoop(t *testing.T) {
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "a", "node")
-	s2 := XSelNil(c, s, "a", "nxt") // a->nxt is already NULL
+	s := apply(c, empty(), mallocStmt("a", "node"))
+	s2 := apply(c, s, selNilStmt("a", "nxt")) // a->nxt is already NULL
 	if s2.Len() != 1 {
 		t.Fatalf("got %d graphs, want 1", s2.Len())
 	}
@@ -173,7 +213,7 @@ func TestSelNilOnNullSelectorIsNoop(t *testing.T) {
 func TestNullDereferenceDropsGraph(t *testing.T) {
 	c := ctx(rsg.L1)
 	s := empty()
-	s2 := XSelNil(c, s, "a", "nxt") // a is NULL
+	s2 := apply(c, s, selNilStmt("a", "nxt")) // a is NULL
 	if s2.Len() != 0 {
 		t.Fatalf("dereferencing NULL must produce no successor configuration")
 	}
@@ -187,7 +227,7 @@ func TestLoadMaterializesTraversal(t *testing.T) {
 	s := buildList(t, c)
 
 	// Traverse one step: p2 = head->nxt.
-	s2 := XLoad(c, s, "p2", "head", "nxt")
+	s2 := apply(c, s, loadStmt("p2", "head", "nxt"))
 	if s2.Len() == 0 {
 		t.Fatal("traversal produced no graphs")
 	}
@@ -236,8 +276,8 @@ func TestTouchTracking(t *testing.T) {
 	c.InLoop = true
 	c.Induction = rsg.NewPvarSet("p")
 
-	s := XMalloc(c, empty(), "head", "node")
-	s = XCopy(c, s, "p", "head")
+	s := apply(c, empty(), mallocStmt("head", "node"))
+	s = apply(c, s, copyStmt("p", "head"))
 	g := s.Graphs()[0]
 	if !g.PvarTarget("p").Touch.Has("p") {
 		t.Errorf("p = head inside a loop must record the visit of induction pvar p: %s",
@@ -256,8 +296,8 @@ func TestTouchIgnoredBelowL3(t *testing.T) {
 	c := ctx(rsg.L2)
 	c.InLoop = true
 	c.Induction = rsg.NewPvarSet("p")
-	s := XMalloc(c, empty(), "head", "node")
-	s = XCopy(c, s, "p", "head")
+	s := apply(c, empty(), mallocStmt("head", "node"))
+	s = apply(c, s, copyStmt("p", "head"))
 	g := s.Graphs()[0]
 	if !g.PvarTarget("p").Touch.Empty() {
 		t.Errorf("TOUCH sets must not be built below L3")

@@ -5,51 +5,31 @@ import (
 	"repro/internal/rsrsg"
 )
 
-// AssumeNull filters the RSRSG down to the configurations where x is
+// AssumeNullSym filters the RSRSG down to the configurations where x is
 // NULL. Within one RSG a pvar either references a node (non-NULL in
 // every covered configuration) or is absent from PL (NULL in every
 // covered configuration), so the filter is exact at graph granularity.
 // It implements the true edge of an `if (x == NULL)` condition.
-func AssumeNull(ctx *Context, in *rsrsg.Set, x string) *rsrsg.Set {
-	return AssumeNullSym(ctx, in, rsg.PvarSym(x))
-}
-
-// AssumeNullSym is AssumeNull addressed by interned pvar.
 func AssumeNullSym(ctx *Context, in *rsrsg.Set, x rsg.Sym) *rsrsg.Set {
 	return in.Filter(func(g *rsg.Graph) bool { return g.PvarTargetSym(x) == nil })
 }
 
-// AssumeNonNull filters the RSRSG down to the configurations where x
+// AssumeNonNullSym filters the RSRSG down to the configurations where x
 // references a node; the true edge of `if (x != NULL)`.
-func AssumeNonNull(ctx *Context, in *rsrsg.Set, x string) *rsrsg.Set {
-	return AssumeNonNullSym(ctx, in, rsg.PvarSym(x))
-}
-
-// AssumeNonNullSym is AssumeNonNull addressed by interned pvar.
 func AssumeNonNullSym(ctx *Context, in *rsrsg.Set, x rsg.Sym) *rsrsg.Set {
 	return in.Filter(func(g *rsg.Graph) bool { return g.PvarTargetSym(x) != nil })
 }
 
-// AssumeNullDelta is the semi-naïve variant of AssumeNull: instead of
-// re-filtering the whole in-state, it folds an in-state membership
-// delta into the cached filter result. Because the filter is a plain
-// per-graph predicate, applying the delta yields exactly the set a full
-// AssumeNull over the new in-state would build.
-func AssumeNullDelta(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x string) {
-	AssumeNullDeltaSym(ctx, cached, added, removed, rsg.PvarSym(x))
-}
-
-// AssumeNullDeltaSym is AssumeNullDelta addressed by interned pvar.
+// AssumeNullDeltaSym is the semi-naïve variant of AssumeNullSym:
+// instead of re-filtering the whole in-state, it folds an in-state
+// membership delta into the cached filter result. Because the filter is
+// a plain per-graph predicate, applying the delta yields exactly the
+// set a full AssumeNullSym over the new in-state would build.
 func AssumeNullDeltaSym(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x rsg.Sym) {
 	assumeDelta(cached, ctx.Opts.Stats, added, removed, func(g *rsg.Graph) bool { return g.PvarTargetSym(x) == nil })
 }
 
-// AssumeNonNullDelta is the semi-naïve variant of AssumeNonNull.
-func AssumeNonNullDelta(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x string) {
-	AssumeNonNullDeltaSym(ctx, cached, added, removed, rsg.PvarSym(x))
-}
-
-// AssumeNonNullDeltaSym is AssumeNonNullDelta addressed by interned pvar.
+// AssumeNonNullDeltaSym is the semi-naïve variant of AssumeNonNullSym.
 func AssumeNonNullDeltaSym(ctx *Context, cached *rsrsg.Set, added []*rsg.Graph, removed []rsg.Digest, x rsg.Sym) {
 	assumeDelta(cached, ctx.Opts.Stats, added, removed, func(g *rsg.Graph) bool { return g.PvarTargetSym(x) != nil })
 }

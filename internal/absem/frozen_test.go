@@ -24,19 +24,19 @@ func TestStepsNeverMutateFrozenInputs(t *testing.T) {
 				t.Fatal("set members must be frozen")
 			}
 			before := g.Digest()
-			steps := []func(){
-				func() { StepNil(c, g, "head") },
-				func() { StepNil(c, g, "unbound") },
-				func() { StepMalloc(c, g, "head", "node") },
-				func() { StepMalloc(c, g, "fresh", "node") },
-				func() { StepCopy(c, g, "p", "head") },
-				func() { StepCopy(c, g, "fresh", "head") },
-				func() { StepSelNil(c, g, "head", "nxt") },
-				func() { StepSelCopy(c, g, "head", "nxt", "p") },
-				func() { StepLoad(c, g, "p", "head", "nxt") },
+			steps := []stmt{
+				nilStmt("head"),
+				nilStmt("unbound"),
+				mallocStmt("head", "node"),
+				mallocStmt("fresh", "node"),
+				copyStmt("p", "head"),
+				copyStmt("fresh", "head"),
+				selNilStmt("head", "nxt"),
+				selCopyStmt("head", "nxt", "p"),
+				loadStmt("p", "head", "nxt"),
 			}
 			for i, step := range steps {
-				step()
+				step(c, g)
 				if g.Digest() != before {
 					t.Fatalf("level %v: step %d mutated its frozen input", lvl, i)
 				}
@@ -46,10 +46,10 @@ func TestStepsNeverMutateFrozenInputs(t *testing.T) {
 		// The set-level pipelines (divide/prune/materialize/compress)
 		// must leave the input set's members untouched too.
 		beforeSet := set.Digest()
-		_ = XSelNil(c, set, "head", "nxt")
-		_ = XLoad(c, set, "p", "head", "nxt")
-		_ = AssumeNull(c, set, "p")
-		_ = AssumeNonNull(c, set, "head")
+		_ = apply(c, set, selNilStmt("head", "nxt"))
+		_ = apply(c, set, loadStmt("p", "head", "nxt"))
+		_ = AssumeNullSym(c, set, rsg.PvarSym("p"))
+		_ = AssumeNonNullSym(c, set, rsg.PvarSym("head"))
 		_ = EraseTouch(c, set, rsg.NewPvarSet("p"))
 		if set.Digest() != beforeSet {
 			t.Fatalf("level %v: set-level pipeline mutated its input set", lvl)
@@ -76,8 +76,8 @@ func TestEraseTouchOnFrozen(t *testing.T) {
 func TestSetMembersAlwaysFrozen(t *testing.T) {
 	c := ctx(rsg.L1)
 	s := empty()
-	s = XMalloc(c, s, "x", "t")
-	s = XSelNil(c, s, "x", "nxt")
+	s = apply(c, s, mallocStmt("x", "t"))
+	s = apply(c, s, selNilStmt("x", "nxt"))
 	u := rsrsg.Union(rsg.L1, s, empty(), c.Opts)
 	for _, g := range u.Graphs() {
 		if !g.Frozen() {

@@ -140,11 +140,11 @@ func TestStepFunctionsShareUnchangedGraphs(t *testing.T) {
 	ctx := &Context{Level: rsg.L1}
 	g := rsg.NewGraph()
 
-	if out := StepNil(ctx, g, "x"); len(out) != 1 || out[0] != g {
-		t.Error("StepNil on a NULL pvar must share the graph")
+	if out := nilStmt("x")(ctx, g); len(out) != 1 || out[0] != g {
+		t.Error("StepNilSym on a NULL pvar must share the graph")
 	}
-	if out := StepCopy(ctx, g, "x", "y"); len(out) != 1 || out[0] != g {
-		t.Error("StepCopy with both NULL must share the graph")
+	if out := copyStmt("x", "y")(ctx, g); len(out) != 1 || out[0] != g {
+		t.Error("StepCopySym with both NULL must share the graph")
 	}
 	if out := StepEraseTouch(ctx, g, rsg.NewPvarSet("p")); len(out) != 1 || out[0] != g {
 		t.Error("StepEraseTouch with no touched nodes must share the graph")
@@ -155,14 +155,14 @@ func TestStepDereferenceNullReturnsNil(t *testing.T) {
 	d := &Diagnostics{}
 	ctx := &Context{Level: rsg.L1, Diags: d}
 	g := rsg.NewGraph()
-	if out := StepSelNil(ctx, g, "x", "s"); out != nil {
-		t.Error("StepSelNil through NULL must produce no successors")
+	if out := selNilStmt("x", "s")(ctx, g); out != nil {
+		t.Error("StepSelNilSym through NULL must produce no successors")
 	}
-	if out := StepSelCopy(ctx, g, "x", "s", "y"); out != nil {
-		t.Error("StepSelCopy through NULL must produce no successors")
+	if out := selCopyStmt("x", "s", "y")(ctx, g); out != nil {
+		t.Error("StepSelCopySym through NULL must produce no successors")
 	}
-	if out := StepLoad(ctx, g, "x", "y", "s"); out != nil {
-		t.Error("StepLoad through NULL must produce no successors")
+	if out := loadStmt("x", "y", "s")(ctx, g); out != nil {
+		t.Error("StepLoadSym through NULL must produce no successors")
 	}
 	if d.NullDerefs != 3 {
 		t.Errorf("NullDerefs = %d, want 3", d.NullDerefs)
@@ -170,23 +170,21 @@ func TestStepDereferenceNullReturnsNil(t *testing.T) {
 }
 
 func TestSetAndStepAgree(t *testing.T) {
-	// The Set-level wrappers must agree with mapping the Step functions
-	// manually.
+	// Mapping a statement over a set (mapStep, as EraseTouch does) must
+	// agree with stepping the member graphs manually and reducing.
 	c := ctx(rsg.L1)
-	s := XMalloc(c, empty(), "a", "node")
-	s = XMalloc(c, s, "b", "node")
-	s = XSelCopy(c, s, "a", "nxt", "b")
+	s := apply(c, empty(), mallocStmt("a", "node"), mallocStmt("b", "node"), selCopyStmt("a", "nxt", "b"))
 
 	manual := rsrsg.New()
 	for _, g := range s.Graphs() {
-		for _, og := range StepSelNil(c, g, "a", "nxt") {
+		for _, og := range selNilStmt("a", "nxt")(c, g) {
 			manual.Add(og)
 		}
 	}
 	manual.Reduce(rsg.L1, c.Opts)
 
-	viaSet := XSelNil(c, s, "a", "nxt")
+	viaSet := apply(c, s, selNilStmt("a", "nxt"))
 	if !manual.Equal(viaSet) {
-		t.Errorf("Set wrapper and Step mapping disagree:\n%s\nvs\n%s", manual, viaSet)
+		t.Errorf("mapStep and manual stepping disagree:\n%s\nvs\n%s", manual, viaSet)
 	}
 }

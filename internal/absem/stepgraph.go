@@ -4,20 +4,13 @@ import (
 	"repro/internal/rsg"
 )
 
-// The per-graph transfer functions come in two addressing modes: the
-// *Sym forms take interned symbols and are what the analysis engine
-// calls on every visit (the IR resolves names to Syms at lowering
-// time, so the hot path never hashes a string); the string forms are
-// thin interning wrappers kept for tests and ad-hoc callers.
+// The per-graph transfer functions take interned symbols: the IR
+// resolves names to Syms at lowering time, so the analysis engine's hot
+// path never hashes a string.
 
-// StepNil is the per-graph semantics of "x = NULL". The input graph is
+// StepNilSym is the per-graph semantics of "x = NULL". The input graph is
 // never mutated; when the statement is a no-op for this graph, the
 // graph itself is returned (callers treat graphs as immutable).
-func StepNil(ctx *Context, g *rsg.Graph, x string) []*rsg.Graph {
-	return StepNilSym(ctx, g, rsg.PvarSym(x))
-}
-
-// StepNilSym is StepNil addressed by interned pvar.
 func StepNilSym(ctx *Context, g *rsg.Graph, x rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(x) == nil {
 		return []*rsg.Graph{g}
@@ -29,12 +22,7 @@ func StepNilSym(ctx *Context, g *rsg.Graph, x rsg.Sym) []*rsg.Graph {
 	return []*rsg.Graph{g2}
 }
 
-// StepMalloc is the per-graph semantics of "x = malloc(...)".
-func StepMalloc(ctx *Context, g *rsg.Graph, x, typ string) []*rsg.Graph {
-	return StepMallocSym(ctx, g, rsg.PvarSym(x), rsg.TypeSym(typ))
-}
-
-// StepMallocSym is StepMalloc addressed by interned pvar and type.
+// StepMallocSym is the per-graph semantics of "x = malloc(...)".
 func StepMallocSym(ctx *Context, g *rsg.Graph, x, typ rsg.Sym) []*rsg.Graph {
 	g2 := g.Clone()
 	g2.ClearPvarSym(x)
@@ -47,12 +35,7 @@ func StepMallocSym(ctx *Context, g *rsg.Graph, x, typ rsg.Sym) []*rsg.Graph {
 	return []*rsg.Graph{g2}
 }
 
-// StepCopy is the per-graph semantics of "x = y".
-func StepCopy(ctx *Context, g *rsg.Graph, x, y string) []*rsg.Graph {
-	return StepCopySym(ctx, g, rsg.PvarSym(x), rsg.PvarSym(y))
-}
-
-// StepCopySym is StepCopy addressed by interned pvars.
+// StepCopySym is the per-graph semantics of "x = y".
 func StepCopySym(ctx *Context, g *rsg.Graph, x, y rsg.Sym) []*rsg.Graph {
 	if x == y {
 		return []*rsg.Graph{g}
@@ -74,14 +57,9 @@ func StepCopySym(ctx *Context, g *rsg.Graph, x, y rsg.Sym) []*rsg.Graph {
 	return []*rsg.Graph{g2}
 }
 
-// StepSelNil is the per-graph semantics of "x->sel = NULL". A nil
+// StepSelNilSym is the per-graph semantics of "x->sel = NULL". A nil
 // result list means the graph has no successor configuration (NULL
 // dereference).
-func StepSelNil(ctx *Context, g *rsg.Graph, x, sel string) []*rsg.Graph {
-	return StepSelNilSym(ctx, g, rsg.PvarSym(x), rsg.SelSym(sel))
-}
-
-// StepSelNilSym is StepSelNil addressed by interned pvar and selector.
 func StepSelNilSym(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(x) == nil {
 		if ctx.Diags != nil {
@@ -107,12 +85,7 @@ func StepSelNilSym(ctx *Context, g *rsg.Graph, x, sel rsg.Sym) []*rsg.Graph {
 	return out
 }
 
-// StepSelCopy is the per-graph semantics of "x->sel = y".
-func StepSelCopy(ctx *Context, g *rsg.Graph, x, sel, y string) []*rsg.Graph {
-	return StepSelCopySym(ctx, g, rsg.PvarSym(x), rsg.SelSym(sel), rsg.PvarSym(y))
-}
-
-// StepSelCopySym is StepSelCopy addressed by interned symbols.
+// StepSelCopySym is the per-graph semantics of "x->sel = y".
 func StepSelCopySym(ctx *Context, g *rsg.Graph, x, sel, y rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(x) == nil {
 		if ctx.Diags != nil {
@@ -141,12 +114,7 @@ func StepSelCopySym(ctx *Context, g *rsg.Graph, x, sel, y rsg.Sym) []*rsg.Graph 
 	return out
 }
 
-// StepLoad is the per-graph semantics of "x = y->sel".
-func StepLoad(ctx *Context, g *rsg.Graph, x, y, sel string) []*rsg.Graph {
-	return StepLoadSym(ctx, g, rsg.PvarSym(x), rsg.PvarSym(y), rsg.SelSym(sel))
-}
-
-// StepLoadSym is StepLoad addressed by interned symbols.
+// StepLoadSym is the per-graph semantics of "x = y->sel".
 func StepLoadSym(ctx *Context, g *rsg.Graph, x, y, sel rsg.Sym) []*rsg.Graph {
 	if g.PvarTargetSym(y) == nil {
 		if ctx.Diags != nil {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/absem"
-	"repro/internal/induction"
 	"repro/internal/ir"
 	"repro/internal/rsg"
 	"repro/internal/rsrsg"
@@ -289,10 +288,6 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	if opts.MaxVisits == 0 {
 		opts.MaxVisits = 200000
 	}
-	induction.Annotate(prog)
-	// Idempotent; lowering already resolved Syms, but hand-built
-	// programs (tests, benchmarks) may not have.
-	prog.ResolveSyms()
 
 	res := &Result{
 		Program: prog,
@@ -333,6 +328,13 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 	}()
 
 	reduceOpts := eng.reduceOpts
+	// Under the TouchAllPvars ablation every pvar is TOUCH-eligible and
+	// erased on every loop exit; nil keeps the paper's induction sets.
+	var touchAll *rsg.PvarSet
+	if opts.TouchAllPvars {
+		all := allPvars(prog)
+		touchAll = &all
+	}
 
 	// Entry state: one empty RSG (all pvars NULL, empty heap).
 	entrySet := rsrsg.New()
@@ -402,7 +404,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 		// forward cone re-enter the worklist. Their non-cone
 		// predecessors' out-states were restored above, so the first
 		// visit of each seeded statement admits the converged in-flow
-		// directly via MergeDelta instead of recomputing it.
+		// directly via MergeDeltaBatch instead of recomputing it.
 		for _, id := range plan.seed {
 			push(id)
 		}
@@ -425,22 +427,13 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			Level:             opts.Level,
 			Opts:              reduceOpts,
 			InLoop:            prog.InLoop(id),
+			Induction:         stmt.Induction,
 			Diags:             &res.Diags,
 			DisableCyclePrune: opts.DisableCyclePrune,
 			NoCompress:        opts.NoCompress,
 		}
-		if opts.Level.UseTouch() {
-			if opts.TouchAllPvars {
-				ctx.Induction = allPvars(prog)
-			} else {
-				ind := rsg.NewPvarSet()
-				for p := range prog.InductionFor(id) {
-					ind.Add(p)
-				}
-				ctx.Induction = ind
-			}
-		} else {
-			ctx.Induction = rsg.NewPvarSet()
+		if touchAll != nil {
+			ctx.Induction = *touchAll
 		}
 
 		// in-states accumulate monotonically: every predecessor's current
@@ -468,7 +461,7 @@ func Run(prog *ir.Program, opts Options) (*Result, error) {
 			}
 			contribution := po
 			if opts.Level.UseTouch() {
-				if erase := exitedInduction(prog, pred, id, opts.TouchAllPvars); !erase.Empty() {
+				if erase := exitedInduction(prog, pred, id, touchAll); !erase.Empty() {
 					// TOUCH erasure rewrites graphs rather than filtering
 					// members, so the delta path's per-part bookkeeping does
 					// not reach through it; the statement permanently falls
@@ -555,15 +548,15 @@ func allPvars(prog *ir.Program) rsg.PvarSet {
 }
 
 // exitedInduction returns the induction pvars of the loops left by the
-// edge pred -> id.
-func exitedInduction(prog *ir.Program, pred, id int, all bool) rsg.PvarSet {
+// edge pred -> id; under the TouchAllPvars ablation (all != nil) every
+// pvar was TOUCH-eligible, so a loop exit erases them all.
+func exitedInduction(prog *ir.Program, pred, id int, all *rsg.PvarSet) rsg.PvarSet {
 	loops := prog.LoopsExited(pred, id)
+	if all != nil && len(loops) > 0 {
+		return *all
+	}
 	out := rsg.NewPvarSet()
 	for _, l := range loops {
-		if all {
-			// Ablation: every pvar was TOUCH-eligible; erase all on exit.
-			return allPvars(prog)
-		}
 		for p := range l.Induction {
 			out.Add(p)
 		}

@@ -8,12 +8,14 @@ import (
 	"os"
 	"testing"
 
+	"repro/internal/absem"
 	"repro/internal/analysis"
 	"repro/internal/benchprog"
 	"repro/internal/checker"
 	"repro/internal/cminic"
 	"repro/internal/ir"
 	"repro/internal/rsg"
+	"repro/internal/rsrsg"
 )
 
 func compileKernel(t testing.TB, name string) (*ir.Program, *benchprog.Kernel) {
@@ -40,6 +42,19 @@ func compileSrc(t testing.TB, src string) *ir.Program {
 		t.Fatal(err)
 	}
 	return prog
+}
+
+// firstNxtNil pushes an RSRSG through the destructive sentence
+// "first->nxt = NULL": the full Fig. 2 per-sentence pipeline (division,
+// pruning, materialization, interpretation, compression and union).
+func firstNxtNil(lvl rsg.Level, in *rsrsg.Set) *rsrsg.Set {
+	ctx := &absem.Context{Level: lvl}
+	first, nxt := rsg.PvarSym("first"), rsg.SelSym("nxt")
+	var out []*rsg.Graph
+	for _, g := range in.Graphs() {
+		out = append(out, absem.StepSelNilSym(ctx, g, first, nxt)...)
+	}
+	return rsrsg.FromGraphs(lvl, out, rsrsg.Options{})
 }
 
 // TestFigure2PipelineCounts traces the Fig. 2 per-sentence pipeline: a
@@ -73,7 +88,7 @@ void main(void) {
 	if in.Len() == 0 {
 		t.Fatal("empty input RSRSG")
 	}
-	out := analysis.PipelineStep(rsg.L1, in, "first", "nxt")
+	out := firstNxtNil(rsg.L1, in)
 	if out.Len() == 0 {
 		t.Fatal("pipeline produced no graphs")
 	}

@@ -22,7 +22,7 @@ import (
 //   1. per-graph abstract transfers: the graphs of a statement's
 //      incoming RSRSG are independent frozen inputs, so their steps
 //      are dispatched as parallel jobs;
-//   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDelta/
+//   2. per-alias-bucket reductions inside rsrsg (Reduce/MergeDeltaBatch/
 //      UnionAll), reached through the rsrsg.Options.Exec hook.
 //
 // Determinism is by construction, not by luck: every parallel unit

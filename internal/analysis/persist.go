@@ -156,7 +156,7 @@ func warmEligible(snap *store.Snapshot, opts Options) bool {
 }
 
 // planPersist probes the store and produces the run plan. Called after
-// option defaulting and induction annotation (the digests need both).
+// option defaulting (the fingerprint needs it).
 // Also arms the engine's persistent memo tier (stmtKeys) whenever a
 // store is configured, regardless of the mode chosen.
 func (e *engineRun) planPersist(prog *ir.Program, opts Options) *persistPlan {

@@ -6,10 +6,8 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/absem"
 	"repro/internal/ir"
 	"repro/internal/rsg"
-	"repro/internal/rsrsg"
 )
 
 // Goal is an accuracy requirement evaluated on an analysis result. The
@@ -94,6 +92,7 @@ func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) Level
 	rep := LevelReport{Level: lvl}
 
 	var before runtime.MemStats
+	// Kept on purpose: without it /check CPU falls but shaped's RSS doubles (ROADMAP.md, "Forced GC").
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
@@ -156,16 +155,6 @@ func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) Level
 		}
 	}
 	return rep
-}
-
-// PipelineStep pushes an RSRSG through the abstract semantics of one
-// destructive sentence, "x->sel = NULL": the full Fig. 2 per-sentence
-// pipeline (division, pruning, materialization, interpretation,
-// compression and union). Exposed for the figure-reproduction
-// benchmarks and tests.
-func PipelineStep(lvl rsg.Level, in *rsrsg.Set, x, sel string) *rsrsg.Set {
-	ctx := &absem.Context{Level: lvl, Induction: rsg.NewPvarSet()}
-	return absem.XSelNil(ctx, in, x, sel)
 }
 
 // Summary renders a human-readable progressive report.

@@ -51,8 +51,7 @@ func appendSortedSet(b []byte, set map[string]struct{}) []byte {
 // statement sits in the CFG. Two statements with equal transfer
 // identities compute identical outputs from identical input graphs at
 // the same analysis options, even across different programs; this is
-// the key space of the persistent transfer memo. The caller must have
-// run induction annotation first.
+// the key space of the persistent transfer memo.
 func (p *Program) transferIdentity(b []byte, id int) []byte {
 	s := p.Stmts[id]
 	b = binary.AppendUvarint(b, uint64(s.Op))
@@ -82,8 +81,7 @@ func (p *Program) transferIdentity(b []byte, id int) []byte {
 }
 
 // TransferDigests returns the per-statement context-free transfer
-// digests (see transferIdentity), indexed by statement ID. Induction
-// annotation must have run first.
+// digests (see transferIdentity), indexed by statement ID.
 func (p *Program) TransferDigests() []StmtDigest {
 	out := make([]StmtDigest, len(p.Stmts))
 	buf := make([]byte, 0, 128)
@@ -96,9 +94,8 @@ func (p *Program) TransferDigests() []StmtDigest {
 }
 
 // stmtIdentity renders the digest pre-image of one statement: its
-// transfer identity plus the CFG in-flow context. The caller must have
-// run induction annotation first: the erase sets and induction sets
-// below come from Loop.Induction.
+// transfer identity plus the CFG in-flow context. The erase sets and
+// induction sets below come from Loop.Induction, filled at lowering.
 func (p *Program) stmtIdentity(b []byte, id int) []byte {
 	s := p.Stmts[id]
 	b = p.transferIdentity(b, id)
@@ -121,8 +118,7 @@ func (p *Program) stmtIdentity(b []byte, id int) []byte {
 }
 
 // StmtDigests returns the per-statement identity digests, indexed by
-// statement ID. Induction annotation must have run (the engine runs it
-// before consulting the store).
+// statement ID.
 func (p *Program) StmtDigests() []StmtDigest {
 	out := make([]StmtDigest, len(p.Stmts))
 	buf := make([]byte, 0, 256)

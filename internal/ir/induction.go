@@ -1,8 +1,11 @@
-// Package induction identifies induction pointer variables: the pvars a
-// loop uses to traverse recursive data structures. The paper (Sect. 3)
-// restricts TOUCH sets to these pvars — following Hwang and Saltz's
-// access-path-expression analysis — to avoid a node explosion at
-// analysis level L3.
+package ir
+
+// Induction pointer variables are the pvars a loop uses to traverse
+// recursive data structures. The paper (Sect. 3) restricts TOUCH sets to
+// these pvars — following Hwang and Saltz's access-path-expression
+// analysis — to avoid a node explosion at analysis level L3. Lowering
+// identifies them once, as a preprocessing pass, before any symbolic
+// execution.
 //
 // The criterion implemented here is the APE cycle test: pvar p is an
 // induction pvar of loop L when the body of L contains a def-use cycle
@@ -10,25 +13,12 @@
 // that traverses at least one load — i.e. each iteration advances p
 // along a selector path, directly (p = p->next) or through temporaries
 // (t = p->next; p = t).
-package induction
 
-import (
-	"repro/internal/ir"
-)
-
-// Annotate computes the induction pvar set of every loop in the program
-// and stores it in the loops' Induction fields. It returns the union
-// over all loops.
-func Annotate(p *ir.Program) map[string]struct{} {
-	all := make(map[string]struct{})
+// annotateInduction fills every loop's Induction set.
+func (p *Program) annotateInduction() {
 	for _, loop := range p.Loops {
-		set := loopInduction(p, loop)
-		loop.Induction = set
-		for pv := range set {
-			all[pv] = struct{}{}
-		}
+		loop.Induction = p.loopInduction(loop)
 	}
-	return all
 }
 
 // edge is one def-use step: dst gets its value from src, advancing
@@ -39,17 +29,17 @@ type edge struct {
 }
 
 // loopInduction runs the cycle test for one loop.
-func loopInduction(p *ir.Program, loop *ir.Loop) map[string]struct{} {
+func (p *Program) loopInduction(loop *Loop) map[string]struct{} {
 	adj := make(map[string][]edge)
 	vars := make(map[string]struct{})
 	for id := range loop.Body {
-		s := p.Stmt(id)
+		s := p.Stmts[id]
 		switch s.Op {
-		case ir.OpCopy:
+		case OpCopy:
 			adj[s.Y] = append(adj[s.Y], edge{dst: s.X, weight: 0})
 			vars[s.X] = struct{}{}
 			vars[s.Y] = struct{}{}
-		case ir.OpLoad:
+		case OpLoad:
 			adj[s.Y] = append(adj[s.Y], edge{dst: s.X, weight: 1})
 			vars[s.X] = struct{}{}
 			vars[s.Y] = struct{}{}

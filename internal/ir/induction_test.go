@@ -1,32 +1,15 @@
-package induction
+package ir
 
 import (
 	"testing"
-
-	"repro/internal/cminic"
-	"repro/internal/ir"
 )
 
-func annotate(t *testing.T, src string) *ir.Program {
-	t.Helper()
-	f, err := cminic.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	p, err := ir.LowerMain(f)
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	Annotate(p)
-	return p
-}
-
-const prologue = `
+const inductionPrologue = `
 struct node { int v; struct node *nxt; struct node *prv; };
 `
 
 func TestDirectTraversalPvar(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
     p = malloc(sizeof(struct node));
@@ -44,7 +27,7 @@ void main(void) {
 
 func TestTraversalThroughTemp(t *testing.T) {
 	// q = p->nxt; p = q — a copy chain with one load: p advances.
-	p := annotate(t, prologue+`
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -65,7 +48,7 @@ void main(void) {
 
 func TestMallocAdvanceIsNotInduction(t *testing.T) {
 	// The list-building pattern p = q with q = malloc: no load cycle.
-	p := annotate(t, prologue+`
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -83,7 +66,7 @@ void main(void) {
 }
 
 func TestPerLoopSets(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -110,7 +93,7 @@ void main(void) {
 }
 
 func TestNestedLoopInduction(t *testing.T) {
-	p := annotate(t, prologue+`
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
     struct node *q;
@@ -145,15 +128,42 @@ void main(void) {
 	}
 }
 
-func TestAnnotateReturnsUnion(t *testing.T) {
-	p := annotate(t, prologue+`
+// TestStmtInductionIsEnclosingUnion checks the per-statement stamp:
+// each statement carries the union of its enclosing loops' induction
+// pvars, and statements outside every loop carry none.
+func TestStmtInductionIsEnclosingUnion(t *testing.T) {
+	p := lower(t, inductionPrologue+`
 void main(void) {
     struct node *p;
+    struct node *q;
     p = malloc(sizeof(struct node));
-    while (c) { p = p->nxt; }
+    while (a) {
+        q = p;
+        while (b) {
+            q = q->nxt;
+        }
+        p = p->nxt;
+    }
 }`)
-	all := Annotate(p)
-	if _, ok := all["p"]; !ok {
-		t.Errorf("union = %v", all)
+	for _, s := range p.Stmts {
+		want := p.InductionFor(s.ID)
+		if s.Induction.Len() != len(want) {
+			t.Errorf("stmt %d (%s): Induction = %v, want %v", s.ID, s, s.Induction, want)
+			continue
+		}
+		for pv := range want {
+			if !s.Induction.Has(pv) {
+				t.Errorf("stmt %d (%s): Induction = %v lacks %s", s.ID, s, s.Induction, pv)
+			}
+		}
+		if !p.InLoop(s.ID) && !s.Induction.Empty() {
+			t.Errorf("stmt %d (%s) is outside every loop but has Induction = %v", s.ID, s, s.Induction)
+		}
+	}
+	inner := p.Loops[1]
+	for id := range inner.Body {
+		if s := p.Stmt(id); !s.Induction.Has("p") || !s.Induction.Has("q") {
+			t.Errorf("inner stmt %d (%s): Induction = %v, want the outer loop's p and q", id, s, s.Induction)
+		}
 	}
 }

@@ -91,9 +91,8 @@ type Stmt struct {
 	Type string // allocated struct type (malloc)
 	Line int    // source line
 	// XSym, YSym, SelSym and TypeSym are the interned forms of X, Y,
-	// Sel and Type, filled in by Program.ResolveSyms so the per-visit
-	// transfer functions address the graph by symbol instead of
-	// hashing strings.
+	// Sel and Type, filled in at lowering so the per-visit transfer
+	// functions address the graph by symbol instead of hashing strings.
 	XSym    rsg.Sym
 	YSym    rsg.Sym
 	SelSym  rsg.Sym
@@ -102,6 +101,10 @@ type Stmt struct {
 	// struct type (declaration order): the abstract semantics unlinks
 	// every outgoing reference of the freed cell.
 	SelSyms []rsg.Sym
+	// Induction is the union of the induction pvar sets of every loop
+	// enclosing the statement (InductionFor, interned at lowering): the
+	// pvars eligible for TOUCH sets at L3.
+	Induction rsg.PvarSet
 	// Succs are the IDs of the successor statements.
 	Succs []int
 	// Preds are the IDs of the predecessor statements (computed).
@@ -145,8 +148,8 @@ type Loop struct {
 	// Body is the set of statement IDs inside the loop (condition
 	// evaluation, body and post statements).
 	Body map[int]struct{}
-	// Induction is the set of induction pvars of this loop (filled by
-	// the induction package).
+	// Induction is the set of induction pvars of this loop (filled at
+	// lowering, see induction.go).
 	Induction map[string]struct{}
 	// Parent is the enclosing loop's ID, or -1.
 	Parent int
@@ -173,12 +176,12 @@ type Program struct {
 // Stmt returns the statement with the given ID.
 func (p *Program) Stmt(id int) *Stmt { return p.Stmts[id] }
 
-// ResolveSyms interns every name appearing in the program — pvars,
+// resolveSyms interns every name appearing in the program — pvars,
 // selectors, struct types — and stamps each statement with the interned
-// forms of its operands. Lowering calls it once per program; it is
-// idempotent, and the engine re-runs it defensively so hand-built
-// programs (tests, benchmarks) work too.
-func (p *Program) ResolveSyms() {
+// forms of its operands and its induction pvar set. Lowering calls it
+// once per program, after induction annotation; nothing writes a
+// program after lowering, so analyses may share one concurrently.
+func (p *Program) resolveSyms() {
 	for v := range p.PtrVars {
 		rsg.PvarSym(v)
 	}
@@ -208,11 +211,14 @@ func (p *Program) ResolveSyms() {
 				s.SelSyms[i] = rsg.SelSym(sel)
 			}
 		}
+		for pv := range p.InductionFor(s.ID) {
+			s.Induction.Add(pv)
+		}
 	}
 }
 
-// ComputePreds fills in the Preds lists from the Succs lists.
-func (p *Program) ComputePreds() {
+// computePreds fills in the Preds lists from the Succs lists.
+func (p *Program) computePreds() {
 	for _, s := range p.Stmts {
 		s.Preds = nil
 	}

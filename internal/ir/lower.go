@@ -48,8 +48,9 @@ func Lower(file *cminic.File, fn *cminic.FuncDecl) (*Program, error) {
 	if l.err != nil {
 		return nil, l.err
 	}
-	l.prog.ComputePreds()
-	l.prog.ResolveSyms()
+	l.prog.computePreds()
+	l.prog.annotateInduction()
+	l.prog.resolveSyms()
 	return l.prog, nil
 }
 
@@ -495,11 +496,10 @@ func (l *lowerer) lowerIf(s *cminic.IfStmt) {
 
 func (l *lowerer) beginLoop(line int) *loopFrame {
 	loop := &Loop{
-		ID:        len(l.prog.Loops),
-		Body:      make(map[int]struct{}),
-		Induction: make(map[string]struct{}),
-		Parent:    -1,
-		Line:      line,
+		ID:     len(l.prog.Loops),
+		Body:   make(map[int]struct{}),
+		Parent: -1,
+		Line:   line,
 	}
 	if len(l.loops) > 0 {
 		loop.Parent = l.loops[len(l.loops)-1].loop.ID

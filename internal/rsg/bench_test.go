@@ -56,7 +56,7 @@ func BenchmarkDivide(b *testing.B) {
 	g, _, _, _ := dlist(true)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Divide(g, "x", "nxt")
+		_ = DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	}
 }
 
@@ -65,9 +65,9 @@ func BenchmarkPrune(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		g, n1, _, _ := dlist(true)
-		divs := Divide(g, "x", "nxt")
+		divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 		branch := divs[0].G.Clone()
-		Materialize(branch, n1.ID, "nxt")
+		MaterializeSym(branch, n1.ID, SelSym("nxt"))
 		b.StartTimer()
 		Prune(branch)
 	}
@@ -88,7 +88,7 @@ func BenchmarkJoin(b *testing.B) {
 
 func BenchmarkMaterialize(b *testing.B) {
 	g, n1, n2, _ := dlist(true)
-	divs := Divide(g, "x", "nxt")
+	divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	var branch *Graph
 	for _, d := range divs {
 		if d.Target == n2.ID {
@@ -98,6 +98,6 @@ func BenchmarkMaterialize(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c := branch.Clone()
-		_ = Materialize(c, n1.ID, "nxt")
+		_ = MaterializeSym(c, n1.ID, SelSym("nxt"))
 	}
 }

@@ -65,13 +65,6 @@ func computeDigest(g *Graph) Digest {
 	return d
 }
 
-// Hash returns the hex form of the graph's digest (memoized on frozen
-// graphs); kept for textual call sites like trace output.
-func Hash(g *Graph) string {
-	d := g.Digest()
-	return d.String()
-}
-
 // appendSignature appends the canonical encoding of g to buf, working
 // entirely in position-indexed scratch (positions into g.ids), with
 // byte appends instead of fmt so the dedup and equality paths of the

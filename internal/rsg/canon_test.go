@@ -28,7 +28,7 @@ func TestSignatureIgnoresNodeIDs(t *testing.T) {
 	if Signature(build(false)) != Signature(build(true)) {
 		t.Error("signature must not depend on node insertion order")
 	}
-	if Hash(build(false)) != Hash(build(true)) {
+	if build(false).Digest() != build(true).Digest() {
 		t.Error("hash must not depend on node insertion order")
 	}
 }

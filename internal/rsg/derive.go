@@ -374,26 +374,3 @@ func (g *Graph) RefreshSingleton(id NodeID) {
 		}
 	})
 }
-
-// RefreshCycleLinks recomputes CYCLELINKS for a singleton node: the pair
-// <selOut, selIn> is definite when the node's selOut reference
-// definitely exists, has a single target, and that target definitely
-// points back through selIn.
-func (g *Graph) RefreshCycleLinks(id NodeID) {
-	n := g.Node(id)
-	if n == nil || !n.Singleton {
-		return
-	}
-	n.Cycle = CycleSet{}
-	g.eachOutSelector(id, func(selOut Sym) {
-		t, ok := g.soleTarget(id, selOut)
-		if !ok || !n.SelOut.HasSym(selOut) {
-			return
-		}
-		g.eachOutSelector(t, func(selIn Sym) {
-			if g.definiteLinkSym(t, selIn, id) {
-				n.Cycle.Add(CyclePair{Out: selTab.name(selOut), In: selTab.name(selIn)})
-			}
-		})
-	})
-}

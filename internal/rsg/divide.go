@@ -9,7 +9,7 @@ type Division struct {
 	Target NodeID
 }
 
-// Divide implements the paper's DIVIDE(rsg, x, sel) operation
+// DivideSym implements the paper's DIVIDE(rsg, x, sel) operation
 // (Sect. 4.1): the graph is split into one graph per possible
 // destination of x->sel, so that each resulting graph carries a single
 // <n, sel, n_i> link out of x's node. Each result is pruned; infeasible
@@ -21,12 +21,8 @@ type Division struct {
 // x->sel is NULL, and a sound abstract semantics must account for them.
 //
 // The pvar x must reference a node; callers handle the x == NULL case
-// (a would-be NULL dereference) before dividing.
-func Divide(g *Graph, x string, sel string) []Division {
-	return DivideSym(g, pvarTab.lookup(x), selTab.lookup(sel))
-}
-
-// DivideSym is Divide addressed by interned pvar and selector.
+// (a would-be NULL dereference) before dividing. The pvar and selector
+// are interned symbols.
 func DivideSym(g *Graph, x, sel Sym) []Division {
 	n := g.PvarTargetSym(x)
 	if n == nil {

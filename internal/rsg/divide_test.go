@@ -5,7 +5,7 @@ import "testing"
 func TestDivideNullBranchOnly(t *testing.T) {
 	// x's node has no sel links and sel not definite: single NULL branch.
 	g := oneNode("t", "x")
-	divs := Divide(g, "x", "s")
+	divs := DivideSym(g, PvarSym("x"), SelSym("s"))
 	if len(divs) != 1 || divs[0].Target != -1 {
 		t.Fatalf("divs = %+v, want one NULL branch", divs)
 	}
@@ -13,7 +13,7 @@ func TestDivideNullBranchOnly(t *testing.T) {
 
 func TestDivideDefiniteNoNullBranch(t *testing.T) {
 	g, _, _, _ := slist()
-	divs := Divide(g, "head", "nxt")
+	divs := DivideSym(g, PvarSym("head"), SelSym("nxt"))
 	for _, d := range divs {
 		if d.Target == -1 {
 			t.Error("nxt is definite in SELOUT(head): no NULL branch expected")
@@ -37,7 +37,7 @@ func TestDividePossibleSelAddsNullBranch(t *testing.T) {
 	g.AddLink(h.ID, "s", a.ID)
 	g.SetPvar("x", h.ID)
 
-	divs := Divide(g, "x", "s")
+	divs := DivideSym(g, PvarSym("x"), SelSym("s"))
 	var nullBranch, targetBranch bool
 	for _, d := range divs {
 		if d.Target == -1 {
@@ -62,7 +62,7 @@ func TestDividePossibleSelAddsNullBranch(t *testing.T) {
 
 func TestDivideOnNullPvar(t *testing.T) {
 	g := NewGraph()
-	if divs := Divide(g, "x", "s"); divs != nil {
+	if divs := DivideSym(g, PvarSym("x"), SelSym("s")); divs != nil {
 		t.Errorf("dividing through a NULL pvar must yield nothing, got %d", len(divs))
 	}
 }
@@ -70,9 +70,9 @@ func TestDivideOnNullPvar(t *testing.T) {
 func TestDivideDoesNotMutateInput(t *testing.T) {
 	g, _, _, _ := dlist(true)
 	sig := Signature(g)
-	Divide(g, "x", "nxt")
+	DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	if Signature(g) != sig {
-		t.Error("Divide must not mutate its input")
+		t.Error("DivideSym must not mutate its input")
 	}
 }
 
@@ -89,7 +89,7 @@ func TestMaterializeSingletonIsIdentity(t *testing.T) {
 	g.AddLink(a.ID, "s", b.ID)
 	g.SetPvar("x", a.ID)
 
-	if got := Materialize(g, a.ID, "s"); got != b.ID {
+	if got := MaterializeSym(g, a.ID, SelSym("s")); got != b.ID {
 		t.Errorf("materializing a singleton target must return it, got n%d", got)
 	}
 	if g.NumNodes() != 2 {
@@ -99,8 +99,8 @@ func TestMaterializeSingletonIsIdentity(t *testing.T) {
 
 func TestMaterializeSummaryProperties(t *testing.T) {
 	g, h, m, _ := slist()
-	// Divide first: keep only the head -> middle branch.
-	divs := Divide(g, "head", "nxt")
+	// DIVIDE first: keep only the head -> middle branch.
+	divs := DivideSym(g, PvarSym("head"), SelSym("nxt"))
 	var branch *Graph
 	for _, d := range divs {
 		if d.Target == m.ID {
@@ -110,7 +110,7 @@ func TestMaterializeSummaryProperties(t *testing.T) {
 	if branch == nil {
 		t.Fatal("no branch targeting the middle summary")
 	}
-	nm := Materialize(branch, h.ID, "nxt")
+	nm := MaterializeSym(branch, h.ID, SelSym("nxt"))
 	if nm == m.ID {
 		t.Fatal("expected a fresh materialized node")
 	}
@@ -149,8 +149,8 @@ func TestMaterializePanicsWithoutDivision(t *testing.T) {
 	g.SetPvar("x", a.ID)
 	defer func() {
 		if recover() == nil {
-			t.Error("Materialize with two candidate targets must panic (divide first)")
+			t.Error("MaterializeSym with two candidate targets must panic (divide first)")
 		}
 	}()
-	Materialize(g, a.ID, "s")
+	MaterializeSym(g, a.ID, SelSym("s"))
 }

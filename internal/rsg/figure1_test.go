@@ -12,9 +12,9 @@ import "testing"
 func TestFigure1Divide(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
 
-	divs := Divide(g, "x", "nxt")
+	divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	if len(divs) != 2 {
-		t.Fatalf("Divide produced %d graphs, want 2", len(divs))
+		t.Fatalf("DivideSym produced %d graphs, want 2", len(divs))
 	}
 	byTarget := map[NodeID]*Graph{}
 	for _, d := range divs {
@@ -44,7 +44,7 @@ func TestFigure1Divide(t *testing.T) {
 // n3 through n1).
 func TestFigure1PruneMiddleBranch(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
-	divs := Divide(g, "x", "nxt")
+	divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	var branch *Graph
 	for _, d := range divs {
 		if d.Target == n2.ID {
@@ -54,7 +54,7 @@ func TestFigure1PruneMiddleBranch(t *testing.T) {
 	if branch == nil {
 		t.Fatal("no branch targeting n2")
 	}
-	// Divide already pruned: the stale tail-to-head back link is gone.
+	// DIVIDE already pruned: the stale tail-to-head back link is gone.
 	if branch.HasLink(n3.ID, "prv", n1.ID) {
 		t.Errorf("<n3,prv,n1> survived pruning; cycle links should remove it")
 	}
@@ -69,7 +69,7 @@ func TestFigure1PruneMiddleBranch(t *testing.T) {
 // disappear and the unreachable middle summary n2 is collected.
 func TestFigure1PruneTailBranch(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
-	divs := Divide(g, "x", "nxt")
+	divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	var branch *Graph
 	for _, d := range divs {
 		if d.Target == n3.ID {
@@ -96,7 +96,7 @@ func TestFigure1PruneTailBranch(t *testing.T) {
 // reasoning.
 func TestFigure1Materialize(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
-	divs := Divide(g, "x", "nxt")
+	divs := DivideSym(g, PvarSym("x"), SelSym("nxt"))
 	var branch *Graph
 	for _, d := range divs {
 		if d.Target == n2.ID {
@@ -107,7 +107,7 @@ func TestFigure1Materialize(t *testing.T) {
 		t.Fatal("no branch targeting n2")
 	}
 
-	n4 := Materialize(branch, n1.ID, "nxt")
+	n4 := MaterializeSym(branch, n1.ID, SelSym("nxt"))
 	if n4 == n2.ID {
 		t.Fatalf("materialization should create a fresh node, got the summary back")
 	}

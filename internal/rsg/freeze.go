@@ -70,10 +70,6 @@ func (g *Graph) Digest() Digest {
 	return computeDigest(g)
 }
 
-// DigestEqual reports whether two graphs have the same canonical form,
-// i.e. Signature(a) == Signature(b).
-func DigestEqual(a, b *Graph) bool { return a.Digest() == b.Digest() }
-
 // ---- interning ---------------------------------------------------------
 
 // internCap bounds the global intern table; when a shard fills its

@@ -1,6 +1,7 @@
 package rsg
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -96,12 +97,12 @@ func TestFrozenViewsMatchUnfrozen(t *testing.T) {
 }
 
 // TestDigestEquivalentToSignature is the randomized property test: for
-// random graph pairs, DigestEqual(a, b) <=> Signature(a) == Signature(b).
+// random graph pairs, a.Digest() == b.Digest() <=> Signature(a) == Signature(b).
 func TestDigestEquivalentToSignature(t *testing.T) {
 	err := quick.Check(func(seedA, seedB int64) bool {
 		a := randomGraph(rand.New(rand.NewSource(seedA)))
 		b := randomGraph(rand.New(rand.NewSource(seedB)))
-		return DigestEqual(a, b) == (Signature(a) == Signature(b))
+		return a.Digest() == b.Digest() == (Signature(a) == Signature(b))
 	}, &quick.Config{MaxCount: 500})
 	if err != nil {
 		t.Error(err)
@@ -111,7 +112,7 @@ func TestDigestEquivalentToSignature(t *testing.T) {
 		a := randomGraph(rand.New(rand.NewSource(seed)))
 		b := a.Clone()
 		b.Freeze()
-		return DigestEqual(a, b) && Signature(a) == Signature(b)
+		return a.Digest() == b.Digest() && Signature(a) == Signature(b)
 	}, &quick.Config{MaxCount: 200})
 	if err != nil {
 		t.Error(err)
@@ -153,13 +154,15 @@ func TestInternReturnsCanonicalInstance(t *testing.T) {
 	}
 }
 
-func TestHashMatchesDigestHex(t *testing.T) {
+func TestDigestStringIsHex(t *testing.T) {
 	g, _, _, _ := dlist(false)
-	if Hash(g) != g.Digest().String() {
-		t.Fatal("Hash must be the hex form of Digest")
+	d := g.Digest()
+	s := d.String()
+	if len(s) != 32 {
+		t.Fatalf("digest string length = %d, want 32 hex chars (16 bytes)", len(s))
 	}
-	if len(Hash(g)) != 32 {
-		t.Fatalf("Hash length = %d, want 32 hex chars (16 bytes)", len(Hash(g)))
+	if s != hex.EncodeToString(d[:]) {
+		t.Fatalf("digest string %s is not the hex form of %x", s, d[:])
 	}
 }
 

@@ -2,7 +2,7 @@ package rsg
 
 import "fmt"
 
-// Materialize extracts the single concrete location referenced by
+// MaterializeSym extracts the single concrete location referenced by
 // <src, sel> out of a summary node, the focusing step of the abstract
 // semantics (the paper's Fig. 1(d), where node n4 is materialized from
 // the summary n2 before the x->nxt link can be safely removed).
@@ -28,20 +28,16 @@ import "fmt"
 //
 // The duplication is deliberately conservative; the caller runs PRUNE
 // afterwards, and the CYCLELINKS/SHSEL rules cut the spurious links
-// (exactly how the paper's example arrives at Fig. 1(d)).
-func Materialize(g *Graph, src NodeID, sel string) NodeID {
-	return MaterializeSym(g, src, selTab.lookup(sel))
-}
-
-// MaterializeSym is Materialize addressed by interned selector.
+// (exactly how the paper's example arrives at Fig. 1(d)). The selector
+// is an interned symbol.
 func MaterializeSym(g *Graph, src NodeID, sel Sym) NodeID {
 	s := g.Node(src)
 	if s == nil {
-		panic(fmt.Sprintf("rsg: Materialize: no node n%d", src))
+		panic(fmt.Sprintf("rsg: MaterializeSym: no node n%d", src))
 	}
 	tID, ok := g.soleTarget(src, sel)
 	if !ok {
-		panic(fmt.Sprintf("rsg: Materialize(n%d, %s): %d targets, want 1 (divide first)",
+		panic(fmt.Sprintf("rsg: MaterializeSym(n%d, %s): %d targets, want 1 (divide first)",
 			src, selTab.name(sel), g.countTargets(src, sel)))
 	}
 	t := g.Node(tID)

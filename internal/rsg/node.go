@@ -125,19 +125,13 @@ func (n *Node) MarkPossibleInSym(sel Sym) {
 	}
 }
 
-// ClearOut removes sel from both outgoing reference-pattern sets.
-func (n *Node) ClearOut(sel string) { n.ClearOutSym(selTab.lookup(sel)) }
-
-// ClearOutSym is ClearOut addressed by interned selector.
+// ClearOutSym removes sel from both outgoing reference-pattern sets.
 func (n *Node) ClearOutSym(sel Sym) {
 	n.SelOut.RemoveSym(sel)
 	n.PosSelOut.RemoveSym(sel)
 }
 
-// ClearIn removes sel from both incoming reference-pattern sets.
-func (n *Node) ClearIn(sel string) { n.ClearInSym(selTab.lookup(sel)) }
-
-// ClearInSym is ClearIn addressed by interned selector.
+// ClearInSym removes sel from both incoming reference-pattern sets.
 func (n *Node) ClearInSym(sel Sym) {
 	n.SelIn.RemoveSym(sel)
 	n.PosSelIn.RemoveSym(sel)

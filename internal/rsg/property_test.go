@@ -152,7 +152,7 @@ func TestPropertyDivideBranchesAreSubgraphs(t *testing.T) {
 		if g.PvarTarget("p") == nil {
 			return true
 		}
-		for _, d := range Divide(g, "p", "s") {
+		for _, d := range DivideSym(g, PvarSym("p"), SelSym("s")) {
 			for _, l := range d.G.Links() {
 				if !g.HasLink(l.Src, l.Sel, l.Dst) {
 					return false

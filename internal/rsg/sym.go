@@ -134,18 +134,3 @@ func TypeSym(name string) Sym { return typeTab.intern(name) }
 
 // TypeName returns the type name of s.
 func TypeName(s Sym) string { return typeTab.name(s) }
-
-// SymCounts reports the number of interned selectors, pvars and type
-// names (for `-stats` style dumps).
-func SymCounts() (sels, pvars, types int) {
-	if s := selTab.load(); s != nil {
-		sels = len(s.names)
-	}
-	if s := pvarTab.load(); s != nil {
-		pvars = len(s.names)
-	}
-	if s := typeTab.load(); s != nil {
-		types = len(s.names)
-	}
-	return
-}

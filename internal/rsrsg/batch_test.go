@@ -1,8 +1,8 @@
 package rsrsg
 
 // MergeDeltaBatch equivalence: admitting a visit's contributions in
-// one batched round must land exactly where sequential MergeDelta
-// calls land — same membership, same net Delta — whenever no
+// one batched round must land exactly where one single-contribution
+// call per contribution lands — same membership, same net Delta — whenever no
 // mid-batch force-join fires (the engine's common case). Under a tight
 // MaxGraphs the force-join timing may differ, but the Delta replay
 // contract must still hold.
@@ -21,8 +21,8 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 			opts := Options{} // no widening bound: join order is identical
 			base := FromGraphs(lvl, randomGraphs(r, 4), opts)
 			seq, bat := New(), New()
-			seq.MergeDelta(lvl, base, opts)
-			bat.MergeDelta(lvl, base, opts)
+			seq.MergeDeltaBatch(lvl, []*Set{base}, opts)
+			bat.MergeDeltaBatch(lvl, []*Set{base}, opts)
 
 			contribs := []*Set{
 				FromGraphs(lvl, randomGraphs(r, 3), opts),
@@ -33,7 +33,7 @@ func TestMergeDeltaBatchMatchesSequential(t *testing.T) {
 			}
 			var seqDelta Delta
 			for _, c := range contribs {
-				seqDelta.Merge(seq.MergeDelta(lvl, c, opts))
+				seqDelta.Merge(seq.MergeDeltaBatch(lvl, []*Set{c}, opts))
 			}
 			batDelta := bat.MergeDeltaBatch(lvl, contribs, opts)
 
@@ -69,7 +69,7 @@ func TestMergeDeltaBatchDeltaContractUnderWidening(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			opts := Options{MaxGraphs: 3}
 			s := New()
-			s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 4), Options{}), opts)
+			s.MergeDeltaBatch(lvl, []*Set{FromGraphs(lvl, randomGraphs(r, 4), Options{})}, opts)
 			for step := 0; step < 4; step++ {
 				contribs := []*Set{
 					FromGraphs(lvl, randomGraphs(r, 3), Options{}),

@@ -70,12 +70,12 @@ func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 					default:
 						contribution = FromGraphs(lvl, randomGraphs(r, 5), Options{})
 					}
-					d := s.MergeDelta(lvl, contribution, opts)
+					d := s.MergeDeltaBatch(lvl, []*Set{contribution}, opts)
 					if !d.Changed && (len(d.Added) > 0 || len(d.Removed) > 0) {
 						t.Fatalf("%v %+v seed %d step %d: non-empty delta with Changed=false", lvl, opts, seed, step)
 					}
 					applyDelta(shadow, d)
-					sameMembership(t, shadow, s, "after MergeDelta")
+					sameMembership(t, shadow, s, "after MergeDeltaBatch")
 					if opts.MaxGraphs > 0 {
 						buckets := make(map[string]int)
 						s.ForEachEntry(func(g *rsg.Graph, _ rsg.Digest) {
@@ -94,7 +94,7 @@ func TestMergeDeltaReportsExactMembershipDelta(t *testing.T) {
 	}
 }
 
-// TestDeltaMergeNets checks Delta.Merge across multiple MergeDelta
+// TestDeltaMergeNets checks Delta.Merge across multiple MergeDeltaBatch
 // calls within one "visit": the accumulated delta replayed onto the
 // pre-visit snapshot must match the final membership, with adds and
 // removes netted (a digest never appears in both lists).
@@ -104,12 +104,12 @@ func TestDeltaMergeNets(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			s := New()
 			for warm := 0; warm < 2; warm++ {
-				s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 5), Options{}), Options{MaxGraphs: 4})
+				s.MergeDeltaBatch(lvl, []*Set{FromGraphs(lvl, randomGraphs(r, 5), Options{})}, Options{MaxGraphs: 4})
 			}
 			shadow := membership(s)
 			var visit Delta
 			for call := 0; call < 4; call++ {
-				visit.Merge(s.MergeDelta(lvl, FromGraphs(lvl, randomGraphs(r, 4), Options{}), Options{MaxGraphs: 4}))
+				visit.Merge(s.MergeDeltaBatch(lvl, []*Set{FromGraphs(lvl, randomGraphs(r, 4), Options{})}, Options{MaxGraphs: 4}))
 			}
 			added := make(map[rsg.Digest]struct{}, len(visit.Added))
 			for _, g := range visit.Added {

@@ -135,17 +135,18 @@ type Set struct {
 	// byDig indexes the members; nil on a fresh Clone and rebuilt on
 	// first mutation, so read-only copies never pay for the map.
 	byDig map[rsg.Digest]struct{}
-	// absorbed records every digest ever folded in through MergeDelta,
-	// including graphs that were joined away; it prevents re-absorbing
-	// (and re-joining) recurring contributions during the fixed point.
-	// Lazily initialized by MergeDelta.
+	// absorbed records every digest ever folded in through
+	// MergeDeltaBatch, including graphs that were joined away; it
+	// prevents re-absorbing (and re-joining) recurring contributions
+	// during the fixed point. Lazily initialized by MergeDeltaBatch.
 	absorbed map[rsg.Digest]struct{}
 	// absorbedContribs records whole contribution sets already folded in
-	// through MergeDelta, keyed by the same (length, set digest) pair
-	// Equal compares. A statement is revisited whenever any predecessor
-	// changes, so the out-states of its unchanged predecessors are
-	// re-merged verbatim on every visit; this lets MergeDelta dismiss
-	// such repeats in O(1) instead of re-scanning every member.
+	// through MergeDeltaBatch, keyed by the same (length, set digest)
+	// pair Equal compares. A statement is revisited whenever any
+	// predecessor changes, so the out-states of its unchanged
+	// predecessors are re-merged verbatim on every visit; this lets
+	// MergeDeltaBatch dismiss such repeats in O(1) instead of
+	// re-scanning every member.
 	absorbedContribs map[contribKey]struct{}
 	// setDig is the XOR of the member digests: order-independent,
 	// updated in O(1) per insertion/removal. Two sets with equal length
@@ -192,7 +193,7 @@ type Options struct {
 	// relations once the set exceeds the bound (a widening safeguard).
 	MaxGraphs int
 	// Exec, when non-nil, runs the per-alias-bucket reduction tasks of
-	// Reduce and MergeDelta concurrently. Buckets are independent —
+	// Reduce and MergeDeltaBatch concurrently. Buckets are independent —
 	// compatibility requires equal alias keys, digest-equal graphs have
 	// equal alias keys, and JOIN/COMPRESS preserve the alias relation
 	// (C_SPATH demands equal zero-length paths, so nodes referenced by
@@ -201,7 +202,7 @@ type Options struct {
 	// sequential run.
 	Exec Exec
 	// Joins, when non-nil, memoizes pairwise CompatibleSP verdicts and
-	// JOIN+COMPRESS results across Reduce/MergeDelta/Accum calls (see
+	// JOIN+COMPRESS results across Reduce/MergeDeltaBatch/Accum calls (see
 	// JoinCache). Both primitives are pure functions of their frozen
 	// operands, so supplying a cache never changes results. The
 	// analysis engine shares one cache per run.
@@ -450,7 +451,7 @@ func dedupe(group []entry) []entry {
 	return out
 }
 
-// Delta is the net membership change reported by one MergeDelta call:
+// Delta is the net membership change reported by one MergeDeltaBatch call:
 // Added holds the graphs that are members now but were not before the
 // call, Removed the digests of former members that were joined away,
 // and Keys the alias-bucket keys whose membership changed (sorted). Changed
@@ -593,35 +594,26 @@ func (t *deltaTracker) delta(changed bool) Delta {
 	return d
 }
 
-// MergeDelta inserts the graphs of other that s does not already hold,
-// then incrementally re-reduces: only pairs involving a new (or
-// newly-joined) graph are tested for compatibility, because the
-// existing members are already pairwise incompatible. The widening
+// MergeDeltaBatch inserts the graphs of the contributions that s does
+// not already hold, then incrementally re-reduces: only pairs involving
+// a new (or newly-joined) graph are tested for compatibility, because
+// the existing members are already pairwise incompatible. The widening
 // bound (Options.MaxGraphs) is enforced per touched bucket — untouched
-// buckets cannot have grown. Returns the net membership Delta. This is
-// the engine's accumulation primitive: in-states grow monotonically,
-// each growth step costs O(delta x bucket) instead of O(bucket^2), and
-// the returned delta feeds the semi-naïve transfer.
-func (s *Set) MergeDelta(lvl rsg.Level, other *Set, opts Options) Delta {
-	delta := s.absorbContrib(other, nil)
-	if len(delta) == 0 {
-		return Delta{}
-	}
-	return s.mergeEntries(lvl, delta, opts)
-}
-
-// MergeDeltaBatch merges a sequence of contributions in one reduction
-// round: the genuinely-new entries of every contribution (in order)
-// form a single delta queue, so the per-round fixed costs — bucket
-// snapshots, task dispatch, delta netting — are paid once per batch
-// instead of once per contribution. The admissions and joins happen in
-// the same order as sequential MergeDelta calls would perform them;
-// the only divergence is widening timing (the MaxGraphs force-join
-// bound is enforced once per touched bucket per batch rather than
-// after every contribution), which can leave a mid-batch bucket
-// transiently above the bound and join it differently — rarer, never
-// unsound, and deterministic. Returns the net membership Delta across
-// the whole batch.
+// buckets cannot have grown. This is the engine's accumulation
+// primitive: in-states grow monotonically, each growth step costs
+// O(delta x bucket) instead of O(bucket^2), and the returned net
+// membership Delta feeds the semi-naïve transfer.
+//
+// The genuinely-new entries of every contribution (in order) form a
+// single delta queue, so the per-round fixed costs — bucket snapshots,
+// task dispatch, delta netting — are paid once per batch instead of
+// once per contribution. The admissions and joins happen in the same
+// order as one call per contribution would perform them; the only
+// divergence is widening timing (the MaxGraphs force-join bound is
+// enforced once per touched bucket per batch rather than after every
+// contribution), which can leave a mid-batch bucket transiently above
+// the bound and join it differently — rarer, never unsound, and
+// deterministic.
 func (s *Set) MergeDeltaBatch(lvl rsg.Level, contribs []*Set, opts Options) Delta {
 	var delta []entry
 	for _, other := range contribs {
@@ -669,8 +661,7 @@ func (s *Set) absorbContrib(other *Set, delta []entry) []entry {
 }
 
 // mergeEntries admits a collected delta queue and incrementally
-// re-reduces the touched alias buckets (the shared tail of MergeDelta
-// and MergeDeltaBatch).
+// re-reduces the touched alias buckets.
 func (s *Set) mergeEntries(lvl rsg.Level, delta []entry, opts Options) Delta {
 	track := newDeltaTracker()
 	if opts.DisableJoin {

@@ -248,8 +248,8 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 	b := New()
 	b.Add(mkGraph("u", "y"))
 	b.Add(mkGraph("t", "x"))
-	if !a.MergeDelta(rsg.L1, b, Options{}).Changed {
-		t.Fatal("MergeDelta must report change")
+	if !a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
+		t.Fatal("MergeDeltaBatch must report change")
 	}
 	var want rsg.Digest
 	a.ForEachEntry(func(_ *rsg.Graph, dig rsg.Digest) {
@@ -258,9 +258,9 @@ func TestMergeDeltaMaintainsDigest(t *testing.T) {
 		}
 	})
 	if a.Digest() != want {
-		t.Fatalf("digest drifted after MergeDelta: %s != %s", a.Digest(), want)
+		t.Fatalf("digest drifted after MergeDeltaBatch: %s != %s", a.Digest(), want)
 	}
-	if a.MergeDelta(rsg.L1, b, Options{}).Changed {
+	if a.MergeDeltaBatch(rsg.L1, []*Set{b}, Options{}).Changed {
 		t.Fatal("re-merging the same set must be a no-op")
 	}
 }

@@ -238,8 +238,6 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 
-	// Run mutates the program (induction annotation, symbol
-	// resolution), so every request compiles its own.
 	prog, err := compileSource(req.Name, req.Source)
 	if err != nil {
 		s.analyzeEP.failures.Add(1)
