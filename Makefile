@@ -30,12 +30,12 @@ test-race:
 	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
 
 # One iteration over the benchmark surfaces a change is most likely to
-# rot: the digest-core micro-benches, the Figure-1 and Figure-2
-# pipelines, the Barnes-Hut L1 macro cell, and the semi-naïve delta
-# cell, plus a short run of the determinism suite (worker count x
-# delta/full path must stay bit-identical).
+# rot: the digest-core and COMPRESS/JOIN/PRUNE kernel micro-benches, the
+# Figure-1 and Figure-2 pipelines, the Barnes-Hut L1 macro cell, and the
+# semi-naïve delta cell, plus a short run of the determinism suite
+# (worker count x delta/full path must stay bit-identical).
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest' -benchtime=1x ./internal/rsg/
+	$(GO) test -run xxx -bench 'BenchmarkSignature|BenchmarkDigest|BenchmarkCompressChain|BenchmarkJoin|BenchmarkPrune' -benchtime=1x ./internal/rsg/
 	$(GO) test -run xxx -bench 'BenchmarkFigure1Pipeline|BenchmarkFigure2Pipeline$$|BenchmarkParallelBarnesHutL1_Workers1$$|BenchmarkDeltaBarnesHutL1_On$$' -benchtime=1x .
 	$(GO) test -run TestParallelDeterminism -short -count=1 ./internal/analysis/
 

@@ -195,3 +195,20 @@ func TestBudgetAborts(t *testing.T) {
 		t.Fatal("expected budget-exceeded error")
 	}
 }
+
+// TestRunLevelReportsHeapMetrics checks that RunLevel's runtime/metrics
+// readings are filled in: a level that allocates reports allocation
+// bytes, objects and a live-heap peak.
+func TestRunLevelReportsHeapMetrics(t *testing.T) {
+	rep := RunLevel(compile(t, listBuildSrc), rsg.L1, nil, Options{})
+	if rep.Err != nil {
+		t.Fatal(rep.Err)
+	}
+	if rep.AllocBytes == 0 || rep.AllocObjects == 0 || rep.PeakHeapBytes == 0 {
+		t.Errorf("alloc=%d B, %d objects, peak heap %d B: want all nonzero",
+			rep.AllocBytes, rep.AllocObjects, rep.PeakHeapBytes)
+	}
+	if rep.AllocObjects > rep.AllocBytes {
+		t.Errorf("%d objects in %d bytes", rep.AllocObjects, rep.AllocBytes)
+	}
+}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -45,10 +46,11 @@ type LevelReport struct {
 	// Duration is the wall-clock time of the level.
 	Duration time.Duration
 	// AllocBytes is the total heap allocation performed by the level's
-	// run; AllocObjects the matching object count (runtime Mallocs
-	// delta); PeakHeapBytes samples the live heap every 50 ms during
+	// run; AllocObjects the matching object count, tiny allocations
+	// included; PeakHeapBytes samples the live heap every 50 ms during
 	// the run — the closer analogue of the paper's resident "Space
-	// (MB)" column (see EXPERIMENTS.md).
+	// (MB)" column (see EXPERIMENTS.md). All three come from
+	// runtime/metrics.
 	AllocBytes    uint64
 	AllocObjects  uint64
 	PeakHeapBytes uint64
@@ -85,19 +87,46 @@ func Progressive(prog *ir.Program, goals []Goal, opts Options) *ProgressiveResul
 	return out
 }
 
+// heapMetrics is the slice of runtime/metrics RunLevel reports.
+type heapMetrics struct {
+	live         uint64 // live heap objects (MemStats.HeapAlloc)
+	allocBytes   uint64 // cumulative heap allocation (MemStats.TotalAlloc)
+	allocObjects uint64 // cumulative allocations, tiny ones included (MemStats.Mallocs)
+}
+
+var heapMetricNames = [...]string{
+	"/memory/classes/heap/objects:bytes",
+	"/gc/heap/allocs:bytes",
+	"/gc/heap/allocs:objects",
+	"/gc/heap/tiny/allocs:objects",
+}
+
+func readHeapMetrics() heapMetrics {
+	var s [len(heapMetricNames)]metrics.Sample
+	for i, name := range heapMetricNames {
+		s[i].Name = name
+	}
+	metrics.Read(s[:])
+	return heapMetrics{
+		live:         s[0].Value.Uint64(),
+		allocBytes:   s[1].Value.Uint64(),
+		allocObjects: s[2].Value.Uint64() + s[3].Value.Uint64(),
+	}
+}
+
 // RunLevel executes one level with time and allocation measurement and
 // goal evaluation.
 func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) LevelReport {
 	opts.Level = lvl
 	rep := LevelReport{Level: lvl}
 
-	var before runtime.MemStats
 	// Kept on purpose: without it /check CPU falls but shaped's RSS doubles (ROADMAP.md, "Forced GC").
 	runtime.GC()
-	runtime.ReadMemStats(&before)
+	before := readHeapMetrics()
 	start := time.Now()
 
-	// Sample the live heap while the run executes.
+	// Sample the live heap while the run executes. runtime/metrics does
+	// not stop the world, as runtime.ReadMemStats would on every tick.
 	stopSampler := make(chan struct{})
 	peakCh := make(chan uint64, 1)
 	go func() {
@@ -110,11 +139,7 @@ func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) Level
 				peakCh <- peak
 				return
 			case <-ticker.C:
-				var ms runtime.MemStats
-				runtime.ReadMemStats(&ms)
-				if ms.HeapAlloc > peak {
-					peak = ms.HeapAlloc
-				}
+				peak = max(peak, readHeapMetrics().live)
 			}
 		}
 	}()
@@ -123,14 +148,10 @@ func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) Level
 
 	rep.Duration = time.Since(start)
 	close(stopSampler)
-	rep.PeakHeapBytes = <-peakCh
-	var after runtime.MemStats
-	runtime.ReadMemStats(&after)
-	if after.HeapAlloc > rep.PeakHeapBytes {
-		rep.PeakHeapBytes = after.HeapAlloc
-	}
-	rep.AllocBytes = after.TotalAlloc - before.TotalAlloc
-	rep.AllocObjects = after.Mallocs - before.Mallocs
+	after := readHeapMetrics()
+	rep.PeakHeapBytes = max(<-peakCh, after.live)
+	rep.AllocBytes = after.allocBytes - before.allocBytes
+	rep.AllocObjects = after.allocObjects - before.allocObjects
 
 	rep.Result = res
 	rep.Err = err

@@ -1,9 +1,11 @@
 package rsg
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -72,7 +74,7 @@ func computeDigest(g *Graph) Digest {
 func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	n := len(g.ids)
 	canonicalOrder(g, cs)
-	cs.idx = growInt32(cs.idx, n)
+	cs.idx = grow(cs.idx, n)
 	for ci, pos := range cs.order {
 		cs.idx[pos] = int32(ci)
 	}
@@ -82,14 +84,14 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 		buf = append(buf, 'P', ' ')
 		buf = append(buf, psnap.names[e.sym-1]...)
 		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(cs.idx[g.posOf(e.id)]), 10)
+		buf = strconv.AppendInt(buf, int64(cs.idx[cs.pos[e.id]]), 10)
 		buf = append(buf, '\n')
 	}
 	for ci, pos := range cs.order {
 		buf = append(buf, 'N', ' ')
 		buf = strconv.AppendInt(buf, int64(ci), 10)
 		buf = append(buf, ' ')
-		buf = appendNodeDescriptor(buf, g.nodes[pos])
+		buf = append(buf, cs.descriptor(pos)...)
 		buf = append(buf, '\n')
 	}
 	// Emit edges grouped by canonical source index and selector; only
@@ -98,14 +100,14 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	ssnap := selTab.load()
 	for _, pos := range cs.order {
 		srcIdx := int64(cs.idx[pos])
-		run := g.outRun(g.ids[pos])
+		run := g.outE[cs.starts[pos]:cs.starts[pos+1]]
 		for i := 0; i < len(run); {
 			sel := run[i].sel
 			cs.dsts = cs.dsts[:0]
 			for ; i < len(run) && run[i].sel == sel; i++ {
-				cs.dsts = append(cs.dsts, int(cs.idx[g.posOf(run[i].b)]))
+				cs.dsts = append(cs.dsts, int(cs.idx[cs.pos[run[i].b]]))
 			}
-			sort.Ints(cs.dsts)
+			slices.Sort(cs.dsts)
 			name := ssnap.names[sel-1]
 			for _, d := range cs.dsts {
 				buf = append(buf, 'L', ' ')
@@ -121,12 +123,8 @@ func appendSignature(g *Graph, buf []byte, cs *canonScratch) []byte {
 	return buf
 }
 
-// nodeDescriptor encodes every intrinsic property of a node (ID
+// appendNodeDescriptor encodes every intrinsic property of a node (ID
 // excluded) for use in signatures and tie-breaking.
-func nodeDescriptor(n *Node) string {
-	return string(appendNodeDescriptor(make([]byte, 0, 64), n))
-}
-
 func appendNodeDescriptor(buf []byte, n *Node) []byte {
 	buf = append(buf, n.Type...)
 	if n.Singleton {
@@ -155,24 +153,45 @@ func appendNodeDescriptor(buf []byte, n *Node) []byte {
 	return buf
 }
 
+// localStart returns the offset of position i's tie-break key in cs.buf.
+func (cs *canonScratch) localStart(i int) int32 {
+	if i == 0 {
+		return 0
+	}
+	return cs.localEnd[i-1]
+}
+
+// descriptor returns position i's node descriptor, as canonicalOrder
+// left it in cs.buf.
+func (cs *canonScratch) descriptor(i int) []byte { return cs.buf[cs.localStart(i):cs.descEnd[i]] }
+
 // canonicalOrder fills cs.order with the node positions in BFS order
 // from the sorted pvars, with deterministic tie-breaking; unreachable
-// nodes follow in descriptor order. cs.spaths and cs.local are left
-// holding the per-position SPATH sets and tie-break descriptors.
+// nodes follow in descriptor order. cs is left holding the per-position
+// SPATH sets, tie-break keys and node descriptors, the out-run offsets
+// and the position table.
 func canonicalOrder(g *Graph, cs *canonScratch) {
 	n := len(g.ids)
-	cs.spaths = growSPathSets(cs.spaths, n)
-	g.spathsByPos(cs.spaths)
-	cs.local = growStrings(cs.local, n)
+	cs.spaths = growZeroed(cs.spaths, n)
+	cs.paths = g.spathsByPos(cs.spaths, cs.paths)
+	// Every tie-break key lives in one byte buffer: node descriptor,
+	// '@', SPATH. appendSignature reuses the descriptor part.
+	cs.buf = cs.buf[:0]
+	cs.descEnd = grow(cs.descEnd, n)
+	cs.localEnd = grow(cs.localEnd, n)
 	for i := range g.ids {
-		cs.buf = appendNodeDescriptor(cs.buf[:0], g.nodes[i])
+		cs.buf = appendNodeDescriptor(cs.buf, g.nodes[i])
+		cs.descEnd[i] = int32(len(cs.buf))
 		cs.buf = append(cs.buf, '@')
 		cs.buf = cs.spaths[i].appendTo(cs.buf)
-		cs.local[i] = string(cs.buf)
+		cs.localEnd[i] = int32(len(cs.buf))
 	}
+	local := func(i int) []byte { return cs.buf[cs.localStart(i):cs.localEnd[i]] }
 
+	cs.starts = g.outStarts(cs.starts)
+	cs.pos = g.posTable(cs.pos)
 	cs.order = cs.order[:0]
-	cs.seen = growBool(cs.seen, n)
+	cs.seen = growZeroed(cs.seen, n)
 	push := func(pos int) {
 		if !cs.seen[pos] {
 			cs.seen[pos] = true
@@ -181,7 +200,7 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 	}
 	cs.queue = cs.queue[:0]
 	for _, e := range g.pl {
-		t := g.posOf(e.id)
+		t := int(cs.pos[e.id])
 		if !cs.seen[t] {
 			push(t)
 			cs.queue = append(cs.queue, t)
@@ -189,22 +208,24 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 	}
 	for qi := 0; qi < len(cs.queue); qi++ {
 		pos := cs.queue[qi]
-		run := g.outRun(g.ids[pos])
+		run := g.outE[cs.starts[pos]:cs.starts[pos+1]]
 		for i := 0; i < len(run); {
 			sel := run[i].sel
 			cs.targets = cs.targets[:0]
 			for ; i < len(run) && run[i].sel == sel; i++ {
-				cs.targets = append(cs.targets, g.posOf(run[i].b))
+				cs.targets = append(cs.targets, int(cs.pos[run[i].b]))
 			}
-			sort.Slice(cs.targets, func(i, j int) bool {
-				a, b := cs.targets[i], cs.targets[j]
+			slices.SortFunc(cs.targets, func(a, b int) int {
 				if cs.seen[a] != cs.seen[b] {
-					return cs.seen[a] // already-ordered nodes first, keeping BFS stable
+					if cs.seen[a] { // already-ordered nodes first, keeping BFS stable
+						return -1
+					}
+					return 1
 				}
-				if cs.local[a] != cs.local[b] {
-					return cs.local[a] < cs.local[b]
+				if c := bytes.Compare(local(a), local(b)); c != 0 {
+					return c
 				}
-				return a < b
+				return cmp.Compare(a, b)
 			})
 			for _, t := range cs.targets {
 				if !cs.seen[t] {
@@ -222,10 +243,10 @@ func canonicalOrder(g *Graph, cs *canonScratch) {
 		}
 	}
 	rest := cs.order[restStart:]
-	sort.Slice(rest, func(i, j int) bool {
-		if cs.local[rest[i]] != cs.local[rest[j]] {
-			return cs.local[rest[i]] < cs.local[rest[j]]
+	slices.SortFunc(rest, func(a, b int) int {
+		if c := bytes.Compare(local(a), local(b)); c != 0 {
+			return c
 		}
-		return rest[i] < rest[j]
+		return cmp.Compare(a, b)
 	})
 }

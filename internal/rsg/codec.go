@@ -331,13 +331,7 @@ func DecodeFrozen(data []byte) (*Graph, error) {
 			return pvarSnap.rankOf(g.pl[i].sym) < pvarSnap.rankOf(g.pl[j].sym)
 		})
 	}
-	if selSnap := selTab.load(); selSnap != nil {
-		sort.SliceStable(g.outE, func(i, j int) bool { return outLess(selSnap, g.outE[i], g.outE[j]) })
-		g.inE = make([]edge, 0, len(g.outE))
-		for _, ed := range g.outE {
-			g.inE = append(g.inE, edge{a: ed.b, sel: ed.sel, b: ed.a})
-		}
-		sort.SliceStable(g.inE, func(i, j int) bool { return inLess(selSnap, g.inE[i], g.inE[j]) })
-	}
+	g.setLinks(g.outE)
+	// Freeze renumbers: stores written with sparse IDs load dense.
 	return g.Freeze(), nil
 }

@@ -67,7 +67,7 @@ func CSPath(sp1, sp2 SPathSet, m int) bool {
 	if sp1.oneLenEmpty() && sp2.oneLenEmpty() {
 		return true
 	}
-	return sp1.oneLenIntersects(sp2)
+	return sp1.intersects(sp2, true)
 }
 
 // CRefPat is the reference-pattern compatibility C_REFPAT(n1, n2): the
@@ -127,8 +127,9 @@ func CNodesJoin(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet) bool {
 
 // CNodesRSG is the paper's C_NODES_RSG(n1, n2) predicate (Sect. 3.1),
 // used to decide whether two nodes of the *same* RSG are summarized by
-// COMPRESS. It is C_NODES plus the STRUCTURE requirement.
-func CNodesRSG(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet, st1, st2 string) bool {
+// COMPRESS. It is C_NODES plus the STRUCTURE requirement; st1 and st2
+// are the nodes' StructureOf class ids.
+func CNodesRSG(lvl Level, n1, n2 *Node, sp1, sp2 SPathSet, st1, st2 int32) bool {
 	if st1 != st2 {
 		return false
 	}

@@ -1,26 +1,21 @@
 package rsg
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // SPathOf computes the SPATH derived property of a node: the set of
 // access paths of length <= 1 from pvars to it (Sect. 3). The
-// zero-length path <p, ""> is present when p references the node
+// zero-length path <p, .> is present when p references the node
 // directly; <p, sel> is present when p references a node m and
 // <m, sel, n> is in NL.
 func (g *Graph) SPathOf(id NodeID) SPathSet {
 	var s SPathSet
 	for _, e := range g.pl {
 		if e.id == id {
-			s.Add(SPath{Pvar: pvarTab.name(e.sym)})
+			s.paths = append(s.paths, spathOf(e.sym, 0))
 		}
-	}
-	for _, e := range g.pl {
 		for _, ed := range g.outRun(e.id) {
 			if ed.b == id {
-				s.Add(SPath{Pvar: pvarTab.name(e.sym), Sel: selTab.name(ed.sel)})
+				s.paths = append(s.paths, spathOf(e.sym, ed.sel))
 			}
 		}
 	}
@@ -28,114 +23,107 @@ func (g *Graph) SPathOf(id NodeID) SPathSet {
 }
 
 // spathsByPos fills sets (parallel to g.ids, pre-zeroed) with the SPATH
-// of every node; the allocation-sensitive core shared by SPaths and the
-// canonical encoder.
-func (g *Graph) spathsByPos(sets []SPathSet) {
+// of every node, carving all of them out of one backing array: buf,
+// reused when it is large enough and returned for the caller to keep.
+// PL is walked in pvar-rank order and each pvar's out run in
+// selector-rank order, so every set receives its paths already in
+// SPath order (SPathOf relies on the same walk) and nothing is sorted
+// or copied. A pvar contributes one zero-length path and one path per
+// link of its node, and no two of those coincide.
+func (g *Graph) spathsByPos(sets []SPathSet, buf []SPath) []SPath {
 	if len(g.pl) == 0 {
-		return
+		return buf
 	}
-	psnap := pvarTab.load()
-	var ssnap *symSnap
+	ws := getWorkScratch()
+	pos := g.posTable(ws.pos)
+	count := growZeroed(ws.counts, len(g.ids))
+	runs := ws.edgeRuns[:0] // each pvar's out run, found once
+	total := 0
 	for _, e := range g.pl {
-		pname := psnap.names[e.sym-1]
-		sets[g.posOf(e.id)].Add(SPath{Pvar: pname})
+		count[pos[e.id]]++
 		run := g.outRun(e.id)
-		if len(run) > 0 && ssnap == nil {
-			ssnap = selTab.load()
-		}
 		for _, ed := range run {
-			sets[g.posOf(ed.b)].Add(SPath{Pvar: pname, Sel: ssnap.names[ed.sel-1]})
+			count[pos[ed.b]]++
+		}
+		runs = append(runs, run)
+		total += 1 + len(run)
+	}
+	if cap(buf) < total {
+		buf = make([]SPath, total)
+	}
+	off := 0
+	for p, c := range count {
+		end := off + int(c)
+		sets[p].paths = buf[off:off:end]
+		off = end
+	}
+	for i, e := range g.pl {
+		p := pos[e.id]
+		sets[p].paths = append(sets[p].paths, spathOf(e.sym, 0))
+		for _, ed := range runs[i] {
+			p := pos[ed.b]
+			sets[p].paths = append(sets[p].paths, spathOf(e.sym, ed.sel))
 		}
 	}
+	clear(runs)
+	ws.pos, ws.counts, ws.edgeRuns = pos, count, runs
+	putWorkScratch(ws)
+	return buf[:0]
 }
 
-// SPaths computes SPATH for every node at once. On a frozen graph the
-// map is computed once at freeze time and shared; callers must not
-// modify it or the sets it holds.
-func (g *Graph) SPaths() map[NodeID]SPathSet {
+// SPaths computes SPATH for every node at once, indexed by position
+// (parallel to NodeIDs). On a frozen graph the slice is computed once at
+// freeze time and shared; callers must not modify it or its sets.
+func (g *Graph) SPaths() []SPathSet {
 	if g.frozen {
 		return g.cSPaths
 	}
 	sets := make([]SPathSet, len(g.ids))
-	g.spathsByPos(sets)
-	out := make(map[NodeID]SPathSet, len(g.ids))
-	for i, id := range g.ids {
-		out[id] = sets[i]
-	}
-	return out
+	g.spathsByPos(sets, nil)
+	return sets
 }
 
-// StructureOf computes the STRUCTURE derived property for every node:
-// an identifier of the weakly-connected component the node belongs to,
-// keyed by the sorted set of pvars that can reach the component. Nodes
-// of different components are never summarized ("Structure avoids the
-// summarization of nodes representing non-connected components").
-func (g *Graph) StructureOf() map[NodeID]string {
-	// Union-find over undirected adjacency, on node positions.
-	n := len(g.ids)
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
+// StructureOf computes the STRUCTURE derived property for every node,
+// indexed by position: the weakly-connected component the node belongs
+// to, as a class id (the position of the component's first node). Two
+// nodes of one graph have the same STRUCTURE iff their class ids are
+// equal. Nodes of different components are never summarized
+// ("Structure avoids the summarization of nodes representing
+// non-connected components"). The paper names a component by the pvars
+// that reach it, but a pvar references one node and so lies in exactly
+// one component: the class id is the same partition without building a
+// name per node.
+func (g *Graph) StructureOf() []int32 {
+	return g.structureByPos(make([]int32, len(g.ids)))
+}
+
+// structureByPos is StructureOf into class (len(g.ids) long, any
+// contents), by union-find over undirected adjacency on positions.
+func (g *Graph) structureByPos(class []int32) []int32 {
+	for i := range class {
+		class[i] = int32(i)
 	}
 	find := func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
+		for class[x] != x {
+			class[x] = class[class[x]]
+			x = class[x]
 		}
 		return x
 	}
+	ws := getWorkScratch()
+	pos := g.posTable(ws.pos)
 	for _, e := range g.outE {
-		ra, rb := find(int32(g.posOf(e.a))), find(int32(g.posOf(e.b)))
+		ra, rb := find(pos[e.a]), find(pos[e.b])
 		if ra != rb {
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
-			}
+			class[max(ra, rb)] = min(ra, rb)
 		}
 	}
-	// Collect, per component, the sorted pvars anchored in it.
-	pvarsByRoot := make(map[int32][]string)
-	for _, e := range g.pl {
-		r := find(int32(g.posOf(e.id)))
-		pvarsByRoot[r] = append(pvarsByRoot[r], pvarTab.name(e.sym))
+	ws.pos = pos
+	putWorkScratch(ws)
+	for i := range class {
+		class[i] = find(int32(i))
 	}
-	out := make(map[NodeID]string, n)
-	for i, id := range g.ids {
-		r := find(int32(i))
-		ps := pvarsByRoot[r]
-		sort.Strings(ps)
-		if len(ps) == 0 {
-			// Unreachable component: identify by its root id so distinct
-			// garbage components stay distinct until collected.
-			out[id] = "#" + itoa(int(g.ids[r]))
-			continue
-		}
-		out[id] = strings.Join(ps, ",")
-	}
-	return out
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	return class
 }
 
 // Reachable returns the set of nodes reachable from any pvar by
@@ -162,30 +150,33 @@ func (g *Graph) Reachable() map[NodeID]struct{} {
 	return seen
 }
 
-// reachableByPos marks reach (parallel to g.ids, pre-zeroed) for every
-// node reachable from a pvar, using stack as DFS scratch; the grown
-// stack is returned so pooled callers keep its capacity.
-func (g *Graph) reachableByPos(reach []bool, stack []int) []int {
-	stack = stack[:0]
+// markReachable sets ws.marks (parallel to g.ids) for every node
+// reachable from a pvar, by a DFS on ws.stack over the out-run offsets
+// in ws.counts and the position table in ws.pos.
+func (g *Graph) markReachable(ws *workScratch) {
+	ws.marks = growZeroed(ws.marks, len(g.ids))
+	ws.counts = g.outStarts(ws.counts)
+	ws.pos = g.posTable(ws.pos)
+	reach, starts, pos, stack := ws.marks, ws.counts, ws.pos, ws.stack[:0]
 	for _, e := range g.pl {
-		p := g.posOf(e.id)
+		p := int(pos[e.id])
 		if !reach[p] {
 			reach[p] = true
 			stack = append(stack, p)
 		}
 	}
 	for len(stack) > 0 {
-		pos := stack[len(stack)-1]
+		at := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, ed := range g.outRun(g.ids[pos]) {
-			p := g.posOf(ed.b)
+		for _, ed := range g.outE[starts[at]:starts[at+1]] {
+			p := int(pos[ed.b])
 			if !reach[p] {
 				reach[p] = true
 				stack = append(stack, p)
 			}
 		}
 	}
-	return stack
+	ws.stack = stack
 }
 
 // CollectGarbage removes every node not reachable from a pvar and
@@ -205,8 +196,7 @@ func (g *Graph) CollectGarbage() int {
 		return 0
 	}
 	ws := getWorkScratch()
-	ws.marks = growBool(ws.marks, n)
-	ws.stack = g.reachableByPos(ws.marks, ws.stack)
+	g.markReachable(ws)
 	// Snapshot the garbage IDs: positions shift as nodes are removed.
 	ws.nodeIDs = ws.nodeIDs[:0]
 	for pos, ok := range ws.marks {

@@ -14,28 +14,30 @@ import (
 // them. The only way to derive a new graph from a frozen one is Clone,
 // which returns an unfrozen deep copy.
 
-// Freeze makes the graph immutable, builds the cached sorted views
-// (NodeIDs, Pvars, OutSelectors, Targets, AliasKey) and computes the
+// Freeze makes the graph immutable, renumbers its nodes to 1..n (their
+// order is kept, so the digest does not change; see renumber), builds
+// the cached derived views (Pvars, AliasKey, SPaths) and computes the
 // canonical digest. Freezing is idempotent; it returns the receiver for
-// chaining.
+// chaining. Node IDs read from the graph before the freeze may be
+// stale afterwards; *Node pointers are not.
 func (g *Graph) Freeze() *Graph {
 	if g.frozen {
 		return g
 	}
+	g.renumber()
 	cacheStats.digestsComputed.Add(1)
 	return g.freezeWithDigest(computeDigest(g), nil)
 }
 
-// freezeWithDigest freezes g reusing an already-computed digest (Intern
-// probes the digest before deciding whether the freeze is needed). The
-// flat encoding already *is* the sorted view, so freezing only pins the
-// few derived results that are expensive to recompute (alias key,
-// SPATHs, name-resolved links, pvar names). rec, when non-nil, also
-// attributes the freeze to one run's RunStats.
+// freezeWithDigest freezes g, already renumbered, reusing its digest
+// (Intern probes the digest before deciding whether the freeze is
+// needed). The flat encoding already *is* the sorted view, so freezing
+// only pins the few derived results that are expensive to recompute
+// (alias key, position-indexed SPATHs, pvar names). rec, when non-nil,
+// also attributes the freeze to one run's RunStats.
 func (g *Graph) freezeWithDigest(d Digest, rec *RunStats) *Graph {
 	g.cPvars = g.Pvars()
 	g.cAlias = aliasKey(g)
-	g.cLinks = g.Links()
 	g.cSPaths = g.SPaths()
 	g.frozen = true
 	g.digest = d
@@ -110,7 +112,8 @@ func internShard(d Digest) *shard {
 //
 // The digest is probed before freezing: a duplicate is discarded
 // immediately, so only graphs that become the canonical instance pay
-// for the freeze-time view construction.
+// for the freeze-time view construction. g is renumbered (see Freeze)
+// either way.
 //
 // Intern is safe for concurrent use. The concurrency contract of the
 // package is: frozen graphs are immutable and freely shareable across

@@ -1,7 +1,9 @@
 package rsg
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,11 +49,13 @@ type plEntry struct {
 //
 // The representation is flat (DESIGN.md §10): nodes live in a pair of
 // parallel slices sorted by ID, PL is a small sorted slice, and NL is a
-// pair of sorted edge slices (forward and reverse). Lookups are binary
-// searches, iteration is linear and allocation-free, and Clone is a
-// handful of slice copies.
+// pair of sorted edge slices (forward and reverse). Freeze renumbers
+// the nodes to 1..n, so on a frozen graph (and on clones that have not
+// removed a node since) a node's position is its ID minus one; a
+// sparse graph falls back to binary search. Iteration is linear and
+// allocation-free, and Clone is a handful of slice copies.
 type Graph struct {
-	ids    []NodeID  // sorted ascending
+	ids    []NodeID  // sorted ascending; 1..n after Freeze
 	nodes  []*Node   // parallel to ids
 	pl     []plEntry // sorted by pvar name rank
 	outE   []edge    // sorted by (src, rank(sel), dst)
@@ -66,8 +70,7 @@ type Graph struct {
 	digest  Digest
 	cPvars  []string
 	cAlias  string
-	cLinks  []Link
-	cSPaths map[NodeID]SPathSet
+	cSPaths []SPathSet // parallel to ids
 }
 
 // NewGraph returns an empty RSG (no nodes; every pvar NULL).
@@ -96,9 +99,15 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// posOf returns the slice position of a node ID, or -1.
+// posOf returns the slice position of a node ID, or -1. IDs are dense
+// after Freeze, so the first probe nearly always hits; a graph made
+// sparse by RemoveNode is binary searched, and only below position id,
+// because strictly ascending positive IDs satisfy ids[k] >= k+1.
 func (g *Graph) posOf(id NodeID) int {
-	lo, hi := 0, len(g.ids)
+	if i := uint(id - 1); i < uint(len(g.ids)) && g.ids[i] == id {
+		return int(i)
+	}
+	lo, hi := 0, min(len(g.ids), int(id))
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if g.ids[mid] < id {
@@ -158,6 +167,14 @@ func (g *Graph) plIndex(sym Sym) int {
 		if g.pl[i].sym == sym {
 			return i
 		}
+	}
+	return -1
+}
+
+// pvarPos returns the position of the node pvar sym references, or -1.
+func (g *Graph) pvarPos(sym Sym) int {
+	if i := g.plIndex(sym); i >= 0 {
+		return g.posOf(g.pl[i].id)
 	}
 	return -1
 }
@@ -276,6 +293,38 @@ func inLess(snap *symSnap, x, y edge) bool {
 	return snap.rank[x.sel-1] < snap.rank[y.sel-1]
 }
 
+// posTable returns tab (grown) with tab[id] = the position of node id,
+// for every node. Whole-graph walks index it instead of calling posOf
+// once per edge, which binary-searches on a graph that RemoveNode has
+// made sparse. Entries for absent IDs are garbage.
+func (g *Graph) posTable(tab []int32) []int32 {
+	if len(g.ids) == 0 {
+		return tab[:0]
+	}
+	tab = grow(tab, int(g.ids[len(g.ids)-1])+1)
+	for i, id := range g.ids {
+		tab[id] = int32(i)
+	}
+	return tab
+}
+
+// outStarts returns starts (grown to len(g.ids)+1) filled so that the
+// out run of the node at position p is outE[starts[p]:starts[p+1]]:
+// one merge walk, because outE is sorted by source and ids ascend. It
+// replaces one binary search per outRun in whole-graph walks.
+func (g *Graph) outStarts(starts []int32) []int32 {
+	starts = grow(starts, len(g.ids)+1)
+	j := 0
+	for p, id := range g.ids {
+		for j < len(g.outE) && g.outE[j].a < id {
+			j++
+		}
+		starts[p] = int32(j)
+	}
+	starts[len(g.ids)] = int32(len(g.outE))
+	return starts
+}
+
 // outRun returns the contiguous outE entries with source id.
 func (g *Graph) outRun(id NodeID) []edge { return edgeRun(g.outE, id) }
 
@@ -283,8 +332,15 @@ func (g *Graph) outRun(id NodeID) []edge { return edgeRun(g.outE, id) }
 func (g *Graph) inRun(id NodeID) []edge { return edgeRun(g.inE, id) }
 
 func edgeRun(edges []edge, id NodeID) []edge {
-	lo := sort.Search(len(edges), func(i int) bool { return edges[i].a >= id })
-	hi := lo
+	lo, hi := 0, len(edges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if edges[mid].a < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
 	for hi < len(edges) && edges[hi].a == id {
 		hi++
 	}
@@ -499,12 +555,9 @@ func (g *Graph) OutLinks(src NodeID) []Link {
 	return out
 }
 
-// Links returns every NL entry, sorted by (Src, Sel, Dst). On a frozen
-// graph the cached slice is returned; callers must not modify it.
+// Links returns every NL entry, sorted by (Src, Sel, Dst). The
+// returned slice is freshly allocated.
 func (g *Graph) Links() []Link {
-	if g.frozen {
-		return g.cLinks
-	}
 	if len(g.outE) == 0 {
 		return nil
 	}
@@ -564,4 +617,111 @@ func (g *Graph) String() string {
 	}
 	b.WriteString("}")
 	return b.String()
+}
+
+// renumber rewrites the node IDs to 1..n in their current order and
+// resets nextID to n, so posOf's first probe hits for every node. The
+// map is monotone: both edge orders, PL and canonicalOrder's last-resort
+// position tie-break survive unchanged, and so does the digest. Node
+// pointers held by callers stay valid and see their new ID.
+func (g *Graph) renumber() {
+	n := len(g.ids)
+	g.nextID = NodeID(n)
+	if n == 0 || g.ids[n-1] == NodeID(n) {
+		return // strictly ascending positive IDs ending at n are 1..n
+	}
+	ws := getWorkScratch()
+	pos := g.posTable(ws.pos)
+	for i := range g.pl {
+		g.pl[i].id = NodeID(pos[g.pl[i].id] + 1)
+	}
+	for _, es := range [2][]edge{g.outE, g.inE} {
+		for i := range es {
+			es[i].a, es[i].b = NodeID(pos[es[i].a]+1), NodeID(pos[es[i].b]+1)
+		}
+	}
+	for i, nd := range g.nodes {
+		g.ids[i] = NodeID(i + 1)
+		nd.ID = NodeID(i + 1)
+	}
+	ws.pos = pos
+	putWorkScratch(ws)
+}
+
+// setLinks installs edges as the graph's NL and rebuilds the reverse
+// list: the bulk alternative to one AddLinkSym per link, which shifts
+// the flat slices on every insert. edges may be in any order and hold
+// duplicates; its backing array becomes the graph's outE. Every
+// endpoint must be a node of g.
+//
+// The edges are bucketed by source position with a stable counting
+// sort; only each source's run, a handful of links, is then sorted by
+// (rank(sel), dst) and cleared of duplicates.
+func (g *Graph) setLinks(edges []edge) {
+	ws := getWorkScratch()
+	pos := g.posTable(ws.pos)
+	next := growZeroed(ws.counts, len(g.ids)+1)
+	for _, e := range edges {
+		next[pos[e.a]+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	sorted := slices.Grow(ws.edges[:0], len(edges))[:len(edges)]
+	for _, e := range edges {
+		p := pos[e.a]
+		sorted[next[p]] = e
+		next[p]++
+	}
+	// next[p] is now the end of source p's run, next[p-1] its start.
+	snap := selTab.load()
+	out := edges[:0]
+	lo := int32(0)
+	for p := range g.ids {
+		run := sorted[lo:next[p]]
+		lo = next[p]
+		if len(run) > 1 {
+			slices.SortFunc(run, func(x, y edge) int {
+				if x.sel != y.sel {
+					return cmp.Compare(snap.rank[x.sel-1], snap.rank[y.sel-1])
+				}
+				return cmp.Compare(x.b, y.b)
+			})
+			run = slices.Compact(run)
+		}
+		out = append(out, run...)
+	}
+	g.outE = out
+	ws.pos, ws.counts, ws.edges = pos, next, sorted
+	putWorkScratch(ws)
+	g.rebuildInE()
+}
+
+// rebuildInE derives inE from outE by a stable counting sort on the
+// destination position: walking outE in (src, rank(sel), dst) order and
+// bucketing by dst leaves every bucket in (src, rank(sel)) order, which
+// is exactly inLess.
+func (g *Graph) rebuildInE() {
+	ws := getWorkScratch()
+	pos := g.posTable(ws.pos)
+	next := growZeroed(ws.counts, len(g.ids)+1)
+	for _, e := range g.outE {
+		next[pos[e.b]+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	inE := g.inE[:0]
+	if cap(inE) < len(g.outE) {
+		inE = make([]edge, len(g.outE))
+	}
+	inE = inE[:len(g.outE)]
+	for _, e := range g.outE {
+		p := pos[e.b]
+		inE[next[p]] = edge{a: e.b, sel: e.sel, b: e.a}
+		next[p]++
+	}
+	g.inE = inE
+	ws.pos, ws.counts = pos, next
+	putWorkScratch(ws)
 }

@@ -1,6 +1,9 @@
 package rsg
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestGraphBasics(t *testing.T) {
 	g := NewGraph()
@@ -146,14 +149,15 @@ func TestStructureOf(t *testing.T) {
 	g.SetPvar("y", c.ID)
 	g.AddLink(a.ID, "s", b.ID)
 
-	st := g.StructureOf()
-	if st[a.ID] != st[b.ID] {
+	st := g.StructureOf() // indexed by position
+	pos := func(n *Node) int { return slices.Index(g.NodeIDs(), n.ID) }
+	if st[pos(a)] != st[pos(b)] {
 		t.Error("connected nodes must share a structure id")
 	}
-	if st[a.ID] == st[c.ID] {
+	if st[pos(a)] == st[pos(c)] {
 		t.Error("separate components must have different structure ids")
 	}
-	if st[c.ID] == st[d.ID] {
+	if st[pos(c)] == st[pos(d)] {
 		t.Error("unreachable node must not share y's structure")
 	}
 }
@@ -161,25 +165,25 @@ func TestStructureOf(t *testing.T) {
 func TestSPathOf(t *testing.T) {
 	g, n1, n2, n3 := dlist(true)
 	sp1 := g.SPathOf(n1.ID)
-	if !sp1.Has(SPath{Pvar: "x"}) {
+	if !sp1.Has(NewSPath("x", "")) {
 		t.Errorf("n1 SPATH missing <x,.>: %s", sp1)
 	}
 	// last->prv reaches both n1 and n2.
-	if !sp1.Has(SPath{Pvar: "last", Sel: "prv"}) {
+	if !sp1.Has(NewSPath("last", "prv")) {
 		t.Errorf("n1 SPATH missing <last,prv>: %s", sp1)
 	}
 	sp2 := g.SPathOf(n2.ID)
-	if !sp2.Has(SPath{Pvar: "x", Sel: "nxt"}) || !sp2.Has(SPath{Pvar: "last", Sel: "prv"}) {
+	if !sp2.Has(NewSPath("x", "nxt")) || !sp2.Has(NewSPath("last", "prv")) {
 		t.Errorf("n2 SPATH = %s", sp2)
 	}
 	sp3 := g.SPathOf(n3.ID)
-	if !sp3.Has(SPath{Pvar: "last"}) || !sp3.Has(SPath{Pvar: "x", Sel: "nxt"}) {
+	if !sp3.Has(NewSPath("last", "")) || !sp3.Has(NewSPath("x", "nxt")) {
 		t.Errorf("n3 SPATH = %s", sp3)
 	}
 	// SPaths (bulk) must agree with SPathOf.
 	all := g.SPaths()
-	for _, id := range g.NodeIDs() {
-		if !all[id].Equal(g.SPathOf(id)) {
+	for pos, id := range g.NodeIDs() {
+		if !all[pos].Equal(g.SPathOf(id)) {
 			t.Errorf("SPaths[%d] disagrees with SPathOf", id)
 		}
 	}

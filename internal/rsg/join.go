@@ -46,16 +46,15 @@ func Compatible(lvl Level, g1, g2 *Graph) bool {
 }
 
 // CompatibleSP is Compatible with the alias keys already known equal
-// and the SPATH maps precomputed by the caller (the RSRSG reduction
-// caches them per graph).
-func CompatibleSP(lvl Level, g1, g2 *Graph, sp1, sp2 map[NodeID]SPathSet) bool {
+// and the position-indexed SPATHs (as SPaths returns them) supplied by
+// the caller; frozen graphs serve them from their freeze-time cache.
+func CompatibleSP(lvl Level, g1, g2 *Graph, sp1, sp2 []SPathSet) bool {
 	for _, e := range g1.pl {
-		n1 := g1.Node(e.id)
-		n2 := g2.PvarTargetSym(e.sym)
-		if n2 == nil {
+		p1, p2 := g1.posOf(e.id), g2.pvarPos(e.sym)
+		if p2 < 0 {
 			return false // alias keys equal => cannot happen, defensive
 		}
-		if !CNodesJoin(lvl, n1, n2, sp1[n1.ID], sp2[n2.ID]) {
+		if !CNodesJoin(lvl, g1.nodes[p1], g2.nodes[p2], sp1[p1], sp2[p2]) {
 			return false
 		}
 	}
@@ -73,29 +72,32 @@ func CompatibleSP(lvl Level, g1, g2 *Graph, sp1, sp2 map[NodeID]SPathSet) bool {
 // pvar-referenced nodes are matched by their alias group first (required
 // so each pvar keeps a single target), then remaining nodes greedily in
 // ID order.
+//
+// The result is built directly in dense form: g1's node at position p
+// becomes node p+1 (merged with its match, if any), and g2's unmatched
+// nodes follow in position order.
 func Join(lvl Level, g1, g2 *Graph) *Graph {
 	sp1, sp2 := g1.SPaths(), g2.SPaths()
 	n1len, n2len := len(g1.ids), len(g2.ids)
 
-	match := make([]int, n1len) // g1 pos -> g2 pos, -1 unmatched
+	match := make([]int32, n1len) // g1 pos -> g2 pos, -1 unmatched
 	for i := range match {
 		match[i] = -1
 	}
-	taken := make([]bool, n2len) // matched g2 positions
+	map2 := make([]NodeID, n2len) // g2 pos -> out ID, 0 while unmatched
 
 	// Pass 1: force-match pvar targets (alias groups correspond 1:1).
 	for _, e := range g1.pl {
-		t2 := g2.PvarTargetSym(e.sym)
-		if t2 == nil {
+		p2 := g2.pvarPos(e.sym)
+		if p2 < 0 {
 			continue
 		}
 		p1 := g1.posOf(e.id)
 		if match[p1] >= 0 {
 			continue
 		}
-		p2 := g2.posOf(t2.ID)
-		match[p1] = p2
-		taken[p2] = true
+		match[p1] = int32(p2)
+		map2[p2] = NodeID(p1 + 1)
 	}
 
 	// Pass 2: greedy matching of the remaining nodes, in ID order.
@@ -105,53 +107,69 @@ func Join(lvl Level, g1, g2 *Graph) *Graph {
 		}
 		node1 := g1.nodes[p1]
 		for p2 := 0; p2 < n2len; p2++ {
-			if taken[p2] {
+			if map2[p2] != 0 {
 				continue
 			}
-			node2 := g2.nodes[p2]
-			if CNodes(lvl, node1, node2, sp1[node1.ID], sp2[node2.ID]) {
-				match[p1] = p2
-				taken[p2] = true
+			if CNodes(lvl, node1, g2.nodes[p2], sp1[p1], sp2[p2]) {
+				match[p1] = int32(p2)
+				map2[p2] = NodeID(p1 + 1)
 				break
 			}
 		}
 	}
 
-	out := NewGraph()
-	map1 := make([]NodeID, n1len) // g1 pos -> out ID
-	map2 := make([]NodeID, n2len) // g2 pos -> out ID
-
-	for p1 := 0; p1 < n1len; p1++ {
-		node1 := g1.nodes[p1]
+	// Pass 1 on graphs that are not COMPATIBLE can match one g2 node
+	// twice; its last partner in g1 position order takes it.
+	for p1, p2 := range match {
+		if p2 >= 0 {
+			map2[p2] = NodeID(p1 + 1)
+		}
+	}
+	n := n1len
+	for _, id := range map2 {
+		if id == 0 {
+			n++
+		}
+	}
+	out := &Graph{ids: make([]NodeID, n), nodes: make([]*Node, n), nextID: NodeID(n)}
+	backing := make([]Node, n)
+	for p1, node1 := range g1.nodes {
 		if p2 := match[p1]; p2 >= 0 {
-			merged := MergeNodes(g1, node1, g2, g2.nodes[p2], false)
-			nn := out.AddNode(merged)
-			map1[p1] = nn.ID
-			map2[p2] = nn.ID
+			mergeNodesInto(&backing[p1], g1, node1, g2, g2.nodes[p2], false)
 		} else {
-			nn := out.AddNode(node1.Clone())
-			map1[p1] = nn.ID
+			backing[p1] = *node1 // property sets are copy-on-write
 		}
 	}
-	for p2 := 0; p2 < n2len; p2++ {
-		if taken[p2] {
-			continue
+	next := n1len
+	for p2, node2 := range g2.nodes {
+		if map2[p2] == 0 {
+			backing[next] = *node2
+			next++
+			map2[p2] = NodeID(next)
 		}
-		nn := out.AddNode(g2.nodes[p2].Clone())
-		map2[p2] = nn.ID
+	}
+	for i := range backing {
+		backing[i].ID = NodeID(i + 1)
+		out.ids[i] = NodeID(i + 1)
+		out.nodes[i] = &backing[i]
 	}
 
-	for _, e := range g1.pl {
-		out.SetPvar(pvarTab.name(e.sym), map1[g1.posOf(e.id)])
+	// g1's PL maps position-wise, so it stays in pvar order; g2's
+	// entries overwrite or insert (for compatible graphs they agree).
+	out.pl = make([]plEntry, len(g1.pl), len(g1.pl)+len(g2.pl))
+	for i, e := range g1.pl {
+		out.pl[i] = plEntry{sym: e.sym, id: NodeID(g1.posOf(e.id) + 1)}
 	}
 	for _, e := range g2.pl {
-		out.SetPvar(pvarTab.name(e.sym), map2[g2.posOf(e.id)])
+		out.SetPvarSym(e.sym, map2[g2.posOf(e.id)])
 	}
+	edges := make([]edge, 0, len(g1.outE)+len(g2.outE))
 	for _, e := range g1.outE {
-		out.AddLinkSym(map1[g1.posOf(e.a)], e.sel, map1[g1.posOf(e.b)])
+		edges = append(edges, edge{NodeID(g1.posOf(e.a) + 1), e.sel, NodeID(g1.posOf(e.b) + 1)})
 	}
 	for _, e := range g2.outE {
-		out.AddLinkSym(map2[g2.posOf(e.a)], e.sel, map2[g2.posOf(e.b)])
+		edges = append(edges, edge{map2[g2.posOf(e.a)], e.sel, map2[g2.posOf(e.b)]})
 	}
+	out.setLinks(edges)
 	return out
 }

@@ -26,7 +26,15 @@ package rsg
 // loses the Singleton flag. Across graphs (JOIN) the merged node is
 // still a per-configuration singleton when both inputs are.
 func MergeNodes(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) *Node {
-	n := NewNode(n1.Type)
+	n := new(Node)
+	mergeNodesInto(n, g1, n1, g2, n2, intraGraph)
+	return n
+}
+
+// mergeNodesInto is MergeNodes writing the summary node into n, which
+// must not be n1 or n2 (JOIN fills one backing array with them).
+func mergeNodesInto(n *Node, g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) {
+	*n = Node{Type: n1.Type}
 
 	n.Singleton = n1.Singleton && n2.Singleton && !intraGraph
 
@@ -47,7 +55,6 @@ func MergeNodes(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node, intraGraph bool) *Node
 	// TOUCH must be equal under C_NODES at L3; at lower levels it is
 	// unused. Union keeps the merge conservative either way.
 	n.Touch = n1.Touch.Union(n2.Touch)
-	return n
 }
 
 // mergeCycleLinks applies the paper's CYCLELINKS merge rule. A pair
@@ -78,17 +85,25 @@ func mergeCycleLinks(g1 *Graph, n1 *Node, g2 *Graph, n2 *Node) CycleSet {
 // MergeCompNodes folds a group of pairwise chain-compatible nodes of one
 // graph into a single summary node, the paper's MERGE_COMP_NODES.
 func MergeCompNodes(g *Graph, nodes []*Node, intraGraph bool) *Node {
-	if len(nodes) == 0 {
-		return nil
+	if len(nodes) < 2 {
+		if len(nodes) == 0 {
+			return nil
+		}
+		return nodes[0]
 	}
+	// The partial summaries alternate between two scratch nodes; only
+	// the final one is copied to the heap.
+	var scratch [2]Node
 	acc := nodes[0]
-	for _, n := range nodes[1:] {
-		merged := MergeNodes(g, acc, g, n, intraGraph)
+	for i, n := range nodes[1:] {
+		merged := &scratch[i%2]
+		mergeNodesInto(merged, g, acc, g, n, intraGraph)
 		// Give the accumulator a transient identity inside g for the
 		// CYCLELINKS context checks of subsequent merges: the first
 		// node's links act as the representative (conservative).
 		merged.ID = nodes[0].ID
 		acc = merged
 	}
-	return acc
+	out := *acc
+	return &out
 }

@@ -6,8 +6,9 @@ import (
 	"strings"
 )
 
-// NodeID identifies a node within one Graph. IDs are never reused within
-// a graph, which keeps traces and DOT dumps stable.
+// NodeID identifies a node within one Graph. A mutable graph never
+// reuses an ID, which keeps traces and DOT dumps stable; Freeze
+// renumbers the nodes to 1..n in their order (see Graph.renumber).
 type NodeID int
 
 // Node is one RSG node. A node represents one or more memory locations
@@ -135,29 +136,6 @@ func (n *Node) ClearOutSym(sel Sym) {
 func (n *Node) ClearInSym(sel Sym) {
 	n.SelIn.RemoveSym(sel)
 	n.PosSelIn.RemoveSym(sel)
-}
-
-// propertyKey returns a deterministic string encoding of the node's
-// summarization-relevant intrinsic properties (everything C_NODES_RSG
-// compares except STRUCTURE and SPATH, which depend on the graph).
-func (n *Node) propertyKey() string {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, n.Type...)
-	buf = append(buf, '|')
-	if n.Shared {
-		buf = append(buf, 'S')
-	} else {
-		buf = append(buf, 's')
-	}
-	buf = append(buf, '|')
-	buf = n.ShSel.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.SelIn.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.SelOut.appendTo(buf)
-	buf = append(buf, '|')
-	buf = n.Touch.appendTo(buf)
-	return string(buf)
 }
 
 // String renders a compact human-readable description of the node.

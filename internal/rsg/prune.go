@@ -63,7 +63,7 @@ func Prune(g *Graph) bool {
 		// that operand's configurations (embeddings are not surjective),
 		// so a definite link out of such a node proves nothing about the
 		// other configurations and must not evict their links.
-		anchored = growBool(anchored[:0], len(g.ids))
+		anchored = growZeroed(anchored[:0], len(g.ids))
 		g.anchoredByPos(anchored)
 		for pos := 0; pos < len(g.ids); pos++ {
 			id := g.ids[pos]

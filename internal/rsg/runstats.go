@@ -92,6 +92,7 @@ func InternStats(g *Graph, rec *RunStats) *Graph {
 		defer s.mu.Unlock()
 		return s.internLocked(g, g.digest, rec)
 	}
+	g.renumber() // digests, and every lookup after, run on dense IDs
 	d := g.DigestStats(rec)
 	s := internShard(d)
 	s.mu.Lock()

@@ -16,6 +16,7 @@ package rsg
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -482,41 +483,79 @@ func (s CycleSet) appendTo(buf []byte) []byte {
 }
 
 // SPath is one simple path <pvar, sel> (Sect. 3): an access path of
-// length at most one from a pointer variable to the node. Sel == "" is
-// the zero-length path (the pvar points directly at the node).
-type SPath struct {
-	Pvar string
-	Sel  string // "" for the zero-length path
+// length at most one from a pointer variable to the node. It packs the
+// interned pvar into the high 32 bits and the interned selector into
+// the low 32; selector 0 is the zero-length path (the pvar points
+// directly at the node). Names are recovered only for printing.
+type SPath uint64
+
+func spathOf(pvar, sel Sym) SPath { return SPath(uint64(pvar)<<32 | uint64(sel)) }
+
+// NewSPath interns the names and returns the path <pvar, sel>; sel ""
+// is the zero-length path.
+func NewSPath(pvar, sel string) SPath {
+	var s Sym
+	if sel != "" {
+		s = selTab.intern(sel)
+	}
+	return spathOf(pvarTab.intern(pvar), s)
 }
 
+// Pvar returns the interned pvar the path starts at.
+func (p SPath) Pvar() Sym { return Sym(p >> 32) }
+
+// Sel returns the interned selector of the path, 0 for length 0.
+func (p SPath) Sel() Sym { return Sym(uint32(p)) }
+
 // Len returns the path length as the paper defines it: 0 when Sel is
-// empty, 1 otherwise.
+// 0, 1 otherwise.
 func (p SPath) Len() int {
-	if p.Sel == "" {
+	if p.Sel() == 0 {
 		return 0
 	}
 	return 1
 }
 
 // String renders the path as "<pvar,sel>" or "<pvar,.>" for length 0.
-func (p SPath) String() string {
-	if p.Sel == "" {
-		return "<" + p.Pvar + ",.>"
+func (p SPath) String() string { return string(p.appendTo(nil, pvarTab.load(), selTab.load())) }
+
+func (p SPath) appendTo(buf []byte, psnap, ssnap *symSnap) []byte {
+	buf = append(buf, '<')
+	buf = append(buf, psnap.names[p.Pvar()-1]...)
+	buf = append(buf, ',')
+	if sel := p.Sel(); sel == 0 {
+		buf = append(buf, '.')
+	} else {
+		buf = append(buf, ssnap.names[sel-1]...)
 	}
-	return "<" + p.Pvar + "," + p.Sel + ">"
+	return append(buf, '>')
 }
 
-func spathLess(a, b SPath) bool {
-	if a.Pvar != b.Pvar {
-		return a.Pvar < b.Pvar
+// spathOrder orders paths by (name of pvar, name of sel), the zero-length
+// path first, through the rank arrays of two symbol snapshots. Later
+// interns never reorder existing ranks, so a set sorted under an older
+// snapshot is still sorted under a newer one.
+type spathOrder struct{ pv, sel *symSnap }
+
+func loadSPathOrder() spathOrder { return spathOrder{pvarTab.load(), selTab.load()} }
+
+func (o spathOrder) less(a, b SPath) bool {
+	if a.Pvar() != b.Pvar() {
+		return o.pv.rank[a.Pvar()-1] < o.pv.rank[b.Pvar()-1]
 	}
-	return a.Sel < b.Sel
+	as, bs := a.Sel(), b.Sel()
+	if as == bs || bs == 0 {
+		return false
+	}
+	return as == 0 || o.sel.rank[as-1] < o.sel.rank[bs-1]
 }
 
-// SPathSet is a set of simple paths, stored as a sorted small slice.
-// Mutations are copy-on-write.
+// SPathSet is a set of simple paths, stored as a small slice in SPath
+// order. Sets derived from a graph share one backing array per
+// derivation; Add copies on write, so a set is never modified through
+// another set's slice.
 type SPathSet struct {
-	paths []SPath // sorted by (Pvar, Sel)
+	paths []SPath
 }
 
 // NewSPathSet builds a simple-path set from the given paths.
@@ -528,96 +567,41 @@ func NewSPathSet(paths ...SPath) SPathSet {
 	return s
 }
 
-func (s SPathSet) search(p SPath) int {
-	return sort.Search(len(s.paths), func(i int) bool { return !spathLess(s.paths[i], p) })
-}
-
 // Has reports whether path is in the set.
-func (s SPathSet) Has(p SPath) bool {
-	i := s.search(p)
-	return i < len(s.paths) && s.paths[i] == p
-}
+func (s SPathSet) Has(p SPath) bool { return slices.Contains(s.paths, p) }
 
 // Add inserts path into the set.
 func (s *SPathSet) Add(p SPath) {
-	i := s.search(p)
-	if i < len(s.paths) && s.paths[i] == p {
+	if s.Has(p) {
 		return
 	}
-	next := make([]SPath, len(s.paths)+1)
-	copy(next, s.paths[:i])
-	next[i] = p
-	copy(next[i+1:], s.paths[i:])
-	s.paths = next
+	o := loadSPathOrder()
+	i := 0
+	for i < len(s.paths) && o.less(s.paths[i], p) {
+		i++
+	}
+	s.paths = slices.Insert(slices.Clip(s.paths), i, p)
 }
 
 // Len returns the number of paths in the set.
 func (s SPathSet) Len() int { return len(s.paths) }
 
-// Clone returns an independent copy of the set.
-func (s SPathSet) Clone() SPathSet { return s } // mutations are copy-on-write
-
-// ZeroLen returns the subset of zero-length paths.
-func (s SPathSet) ZeroLen() SPathSet {
-	var out SPathSet
-	for _, p := range s.paths {
-		if p.Len() == 0 {
-			out.paths = append(out.paths, p)
-		}
-	}
-	sort.Slice(out.paths, func(i, j int) bool { return spathLess(out.paths[i], out.paths[j]) })
-	return out
-}
-
-// OneLen returns the subset of one-length paths.
-func (s SPathSet) OneLen() SPathSet {
-	var out SPathSet
-	for _, p := range s.paths {
-		if p.Len() == 1 {
-			out.paths = append(out.paths, p)
-		}
-	}
-	return out
-}
-
 // Equal reports whether two sets hold the same paths.
-func (s SPathSet) Equal(o SPathSet) bool {
-	if len(s.paths) != len(o.paths) {
-		return false
-	}
-	for i, p := range s.paths {
-		if o.paths[i] != p {
-			return false
-		}
-	}
-	return true
-}
+func (s SPathSet) Equal(o SPathSet) bool { return slices.Equal(s.paths, o.paths) }
 
 // Intersects reports whether the two sets have a common path.
-func (s SPathSet) Intersects(o SPathSet) bool {
-	i, j := 0, 0
-	for i < len(s.paths) && j < len(o.paths) {
-		switch {
-		case s.paths[i] == o.paths[j]:
-			return true
-		case spathLess(s.paths[i], o.paths[j]):
-			i++
-		default:
-			j++
-		}
-	}
-	return false
-}
+func (s SPathSet) Intersects(o SPathSet) bool { return s.intersects(o, false) }
 
-// zeroLenEqual reports ZeroLen().Equal(o.ZeroLen()) without building
-// the subsets — the hot C_SPATH0 comparison.
+// zeroLenEqual reports whether the two sets hold the same zero-length
+// paths — the hot C_SPATH0 comparison. Both subsets are in SPath order,
+// so equal subsets are equal sequences.
 func (s SPathSet) zeroLenEqual(o SPathSet) bool {
 	i, j := 0, 0
 	for {
-		for i < len(s.paths) && s.paths[i].Sel != "" {
+		for i < len(s.paths) && s.paths[i].Sel() != 0 {
 			i++
 		}
-		for j < len(o.paths) && o.paths[j].Sel != "" {
+		for j < len(o.paths) && o.paths[j].Sel() != 0 {
 			j++
 		}
 		si, sj := i < len(s.paths), j < len(o.paths)
@@ -635,21 +619,26 @@ func (s SPathSet) zeroLenEqual(o SPathSet) bool {
 // oneLenEmpty reports whether the set has no one-length path.
 func (s SPathSet) oneLenEmpty() bool {
 	for _, p := range s.paths {
-		if p.Sel != "" {
+		if p.Sel() != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// oneLenIntersects reports whether the one-length subsets share a path.
-func (s SPathSet) oneLenIntersects(o SPathSet) bool {
+// intersects reports whether the sets share a path, only one-length
+// paths counting when oneLen is set: a merge walk in SPath order.
+func (s SPathSet) intersects(o SPathSet, oneLen bool) bool {
+	if len(s.paths) == 0 || len(o.paths) == 0 {
+		return false
+	}
+	ord := loadSPathOrder()
 	i, j := 0, 0
 	for {
-		for i < len(s.paths) && s.paths[i].Sel == "" {
+		for oneLen && i < len(s.paths) && s.paths[i].Sel() == 0 {
 			i++
 		}
-		for j < len(o.paths) && o.paths[j].Sel == "" {
+		for oneLen && j < len(o.paths) && o.paths[j].Sel() == 0 {
 			j++
 		}
 		if i >= len(s.paths) || j >= len(o.paths) {
@@ -658,7 +647,7 @@ func (s SPathSet) oneLenIntersects(o SPathSet) bool {
 		switch {
 		case s.paths[i] == o.paths[j]:
 			return true
-		case spathLess(s.paths[i], o.paths[j]):
+		case ord.less(s.paths[i], o.paths[j]):
 			i++
 		default:
 			j++
@@ -666,35 +655,24 @@ func (s SPathSet) oneLenIntersects(o SPathSet) bool {
 	}
 }
 
-// Sorted returns the paths ordered by (Pvar, Sel). The returned slice
-// is the set's backing store; callers must not modify it.
+// Sorted returns the paths ordered by (Pvar, Sel) name. The returned
+// slice is the set's backing store; callers must not modify it.
 func (s SPathSet) Sorted() []SPath { return s.paths }
 
 // String renders the set with sorted elements.
-func (s SPathSet) String() string {
-	parts := make([]string, 0, len(s.paths))
-	for _, p := range s.paths {
-		parts = append(parts, p.String())
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
+func (s SPathSet) String() string { return string(s.appendTo(nil)) }
 
 // appendTo appends the String form to buf without intermediate strings.
 func (s SPathSet) appendTo(buf []byte) []byte {
 	buf = append(buf, '{')
-	for i, p := range s.paths {
-		if i > 0 {
-			buf = append(buf, ',')
+	if len(s.paths) > 0 {
+		psnap, ssnap := pvarTab.load(), selTab.load()
+		for i, p := range s.paths {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = p.appendTo(buf, psnap, ssnap)
 		}
-		buf = append(buf, '<')
-		buf = append(buf, p.Pvar...)
-		buf = append(buf, ',')
-		if p.Sel == "" {
-			buf = append(buf, '.')
-		} else {
-			buf = append(buf, p.Sel...)
-		}
-		buf = append(buf, '>')
 	}
 	return append(buf, '}')
 }

@@ -113,22 +113,19 @@ func TestCycleSetBasics(t *testing.T) {
 }
 
 func TestSPathBasics(t *testing.T) {
-	zero := SPath{Pvar: "p"}
-	one := SPath{Pvar: "p", Sel: "nxt"}
+	zero := NewSPath("p", "")
+	one := NewSPath("p", "nxt")
 	if zero.Len() != 0 || one.Len() != 1 {
 		t.Error("lengths wrong")
 	}
-	s := NewSPathSet(zero, one, SPath{Pvar: "q", Sel: "prv"})
-	if z := s.ZeroLen(); z.Len() != 1 || !z.Has(zero) {
-		t.Errorf("ZeroLen = %s", z)
-	}
-	if o := s.OneLen(); o.Len() != 2 {
-		t.Errorf("OneLen = %s", o)
+	s := NewSPathSet(NewSPath("q", "prv"), one, zero)
+	if s.Len() != 3 || !s.Has(zero) || !s.Has(one) {
+		t.Errorf("set = %s", s)
 	}
 	if !s.Intersects(NewSPathSet(one)) {
 		t.Error("Intersects false negative")
 	}
-	if s.Intersects(NewSPathSet(SPath{Pvar: "z"})) {
+	if s.Intersects(NewSPathSet(NewSPath("z", ""))) {
 		t.Error("Intersects false positive")
 	}
 	if s.String() != "{<p,.>,<p,nxt>,<q,prv>}" {
@@ -138,8 +135,8 @@ func TestSPathBasics(t *testing.T) {
 
 func TestCSPathModes(t *testing.T) {
 	// Same zero paths, disjoint one paths.
-	a := NewSPathSet(SPath{Pvar: "p", Sel: "nxt"})
-	b := NewSPathSet(SPath{Pvar: "q", Sel: "prv"})
+	a := NewSPathSet(NewSPath("p", "nxt"))
+	b := NewSPathSet(NewSPath("q", "prv"))
 	if !CSPath(a, b, 0) {
 		t.Error("C_SPATH0 only compares zero-length paths")
 	}
@@ -147,7 +144,7 @@ func TestCSPathModes(t *testing.T) {
 		t.Error("C_SPATH1 must reject disjoint one-length path sets")
 	}
 	// Shared one path.
-	c := NewSPathSet(SPath{Pvar: "p", Sel: "nxt"}, SPath{Pvar: "r", Sel: "s"})
+	c := NewSPathSet(NewSPath("p", "nxt"), NewSPath("r", "s"))
 	if !CSPath(a, c, 1) {
 		t.Error("C_SPATH1 must accept sets sharing a one-length path")
 	}
@@ -157,8 +154,8 @@ func TestCSPathModes(t *testing.T) {
 		t.Error("C_SPATH1 must accept two empty sets")
 	}
 	// Different zero paths always incompatible.
-	z1 := NewSPathSet(SPath{Pvar: "p"})
-	z2 := NewSPathSet(SPath{Pvar: "q"})
+	z1 := NewSPathSet(NewSPath("p", ""))
+	z2 := NewSPathSet(NewSPath("q", ""))
 	if CSPath(z1, z2, 0) || CSPath(z1, z2, 1) {
 		t.Error("different zero-length paths must be incompatible")
 	}

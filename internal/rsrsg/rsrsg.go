@@ -74,8 +74,8 @@ func NewJoinCache() *JoinCache {
 }
 
 // compatible is CompatibleSP through the cache; a nil receiver
-// recomputes. Frozen graphs serve their SPATH maps from the freeze-time
-// cache, so no per-scan SPATH memo is needed.
+// recomputes. Frozen graphs serve their position-indexed SPATHs from
+// the freeze-time cache, so no per-scan SPATH memo is needed.
 func (c *JoinCache) compatible(lvl rsg.Level, a, b entry) bool {
 	k := joinKey{lvl: lvl, a: a.dig, b: b.dig}
 	if c != nil {
