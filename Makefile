@@ -1,14 +1,15 @@
 # Developer entry points. `make ci` is the gate every change must pass:
 # vet + build + full test suite + race detector over the concurrent
-# packages + a one-iteration benchmark smoke to catch bit-rot in the
-# bench harness without paying full bench time + a one-rep benchtab run
-# diffed against the committed snapshot.
+# packages + the graph-holding packages' tests under GOGC=5 + a
+# one-iteration benchmark smoke to catch bit-rot in the bench harness
+# without paying full bench time + a one-rep benchtab run diffed
+# against the committed snapshot.
 
 GO ?= go
 
-.PHONY: ci vet build test test-race bench-smoke bench-compare bench-sched bench-warm bench fuzz corpus corpus-short service-smoke tidy
+.PHONY: ci vet build test test-race gc-stress bench-smoke bench-compare bench-sched bench-warm bench fuzz corpus corpus-short service-smoke tidy
 
-ci: vet build test test-race bench-smoke bench-compare bench-sched bench-warm fuzz-short corpus-short service-smoke
+ci: vet build test test-race gc-stress bench-smoke bench-compare bench-sched bench-warm fuzz-short corpus-short service-smoke
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +29,14 @@ test:
 # program (barneshut and matvec, L1 and L3) must stay race-free.
 test-race:
 	$(GO) test -race -short ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/store/ ./internal/service/
+
+# The intern table holds its graphs weakly (DESIGN.md §6): a canonical
+# instance lives only while something else uses it. Running the packages
+# that intern, reduce, check and persist graphs with a collection every
+# few percent of heap growth catches code that relies on the table to
+# keep a graph alive, or on which instance of a digest is canonical.
+gc-stress:
+	GOGC=5 $(GO) test -short -count=1 ./internal/rsg/ ./internal/rsrsg/ ./internal/analysis/ ./internal/verdict/ ./internal/store/
 
 # One iteration over the benchmark surfaces a change is most likely to
 # rot: the digest-core and COMPRESS/JOIN/PRUNE kernel micro-benches, the

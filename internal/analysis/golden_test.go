@@ -19,7 +19,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/ir"
@@ -44,21 +46,66 @@ var goldenFixtures = []struct {
 }
 
 func TestGoldenDigestEquivalence(t *testing.T) {
-	update := os.Getenv("REPRO_UPDATE_GOLDEN") != ""
-	golden := map[string]string{}
-	if !update {
-		raw, err := os.ReadFile(goldenDigestFile)
-		if err != nil {
-			t.Fatalf("missing golden digests (run with REPRO_UPDATE_GOLDEN=1 to record): %v", err)
-		}
-		if err := json.Unmarshal(raw, &golden); err != nil {
-			t.Fatal(err)
-		}
+	if os.Getenv("REPRO_UPDATE_GOLDEN") == "" {
+		checkGolden(t, goldenCells(t, nil))
+		return
 	}
+	got := goldenCells(t, nil)
+	if err := os.MkdirAll(filepath.Dir(goldenDigestFile), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.MarshalIndent(got, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenDigestFile, append(raw, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("recorded %d golden fingerprints", len(got))
+}
+
+// TestGoldenDigestsUnderGC reruns the golden fixtures while collections
+// free the canonical instances the intern table no longer sees used:
+// once with a collector racing every run, once with a collection
+// between runs. Whichever instance ends up canonical, the digests must
+// be the recorded ones.
+func TestGoldenDigestsUnderGC(t *testing.T) {
+	t.Run("concurrent", func(t *testing.T) {
+		stop := make(chan struct{})
+		collector := make(chan struct{})
+		go func() {
+			defer close(collector)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(time.Millisecond):
+					runtime.GC()
+				}
+			}
+		}()
+		got := goldenCells(t, nil)
+		close(stop)
+		<-collector
+		checkGolden(t, got)
+	})
+	t.Run("between", func(t *testing.T) {
+		checkGolden(t, goldenCells(t, runtime.GC))
+	})
+}
+
+// goldenCells runs every golden fixture at L1-L3 and returns the
+// fingerprints by cell key; between, when non-nil, runs before each
+// cell.
+func goldenCells(t *testing.T, between func()) map[string]string {
+	t.Helper()
 	got := map[string]string{}
 	for _, fx := range goldenFixtures {
 		prog := fx.src(t)
 		for _, lvl := range []rsg.Level{rsg.L1, rsg.L2, rsg.L3} {
+			if between != nil {
+				between()
+			}
 			key := fx.name + "/" + lvl.String()
 			res, err := analysis.Run(prog, analysis.Options{Level: lvl, MaxVisits: fx.maxVisits})
 			if err != nil && !(fx.maxVisits > 0 && errors.Is(err, analysis.ErrNoConvergence)) {
@@ -67,19 +114,19 @@ func TestGoldenDigestEquivalence(t *testing.T) {
 			got[key] = fingerprint(res)
 		}
 	}
-	if update {
-		if err := os.MkdirAll(filepath.Dir(goldenDigestFile), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenDigestFile, append(raw, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("recorded %d golden fingerprints", len(got))
-		return
+	return got
+}
+
+// checkGolden compares computed fingerprints against the recorded file.
+func checkGolden(t *testing.T, got map[string]string) {
+	t.Helper()
+	raw, err := os.ReadFile(goldenDigestFile)
+	if err != nil {
+		t.Fatalf("missing golden digests (run with REPRO_UPDATE_GOLDEN=1 to record): %v", err)
+	}
+	golden := map[string]string{}
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(golden) {
 		t.Fatalf("fixture set drifted: %d cells computed, %d recorded", len(got), len(golden))

@@ -314,8 +314,9 @@ func TestPerRunCacheStats(t *testing.T) {
 	if strings.Contains(solo.Stats.CacheSummary(), "shared") {
 		t.Fatal("solo CacheSummary carries the shared marker")
 	}
-	// A warm intern table (repeat runs in one process) can make every
-	// intern a hit, so only the digest computations are unconditional.
+	// Canonical instances still held elsewhere in the process (another
+	// run, a kept result) can make every intern a hit, so only the
+	// digest computations are unconditional.
 	if solo.Stats.Cache.DigestsComputed == 0 || solo.Stats.Cache.InternHits+solo.Stats.Cache.InternMisses == 0 {
 		t.Fatalf("solo recorder saw no work: %+v", solo.Stats.Cache)
 	}
@@ -371,9 +372,9 @@ func TestPerRunCacheStats(t *testing.T) {
 	if sum := a.DigestCacheHits + b.DigestCacheHits; sum > global.DigestCacheHits {
 		t.Errorf("DigestCacheHits over-attributed: %d > %d", sum, global.DigestCacheHits)
 	}
-	// Identical programs share the intern table, so whichever run gets
-	// there second (or any run on a warm table) may legitimately freeze
-	// nothing — but each run still computes digests of its own graphs.
+	// Identical programs running at once share canonical instances, so
+	// whichever run gets there second may legitimately freeze nothing —
+	// but each run still computes digests of its own graphs.
 	for i, res := range results {
 		if c := res.Stats.Cache; c.DigestsComputed == 0 {
 			t.Errorf("run %d recorder saw no work: %+v", i, c)

@@ -3,6 +3,7 @@ package rsg
 import (
 	"sync"
 	"sync/atomic"
+	"weak"
 )
 
 // This file implements the freeze contract: a Graph can be frozen into
@@ -74,10 +75,13 @@ func (g *Graph) Digest() Digest {
 
 // ---- interning ---------------------------------------------------------
 
-// internCap bounds the global intern table; when a shard fills its
-// share, that shard is reset wholesale (an epoch flip) so memory stays
-// bounded while the steady-state working set of a fixed point keeps
-// hitting.
+// internCap bounds the global intern table. Entries are weak: the table
+// never keeps a graph alive, so a canonical instance lives exactly as
+// long as some state outside the table holds it, and the next
+// collection after its last user lets go frees it. A shard that fills
+// its share first drops its dead entries, and is reset wholesale only
+// if it is still full of live graphs — the cap bounds the table's own
+// memory, not the graphs'.
 const internCap = 1 << 15
 
 // internShards splits the intern table by digest prefix so concurrent
@@ -94,7 +98,7 @@ const internShardCap = internCap / internShards
 // false-share under contention.
 type shard struct {
 	mu  sync.Mutex
-	tab map[Digest]*Graph
+	tab map[Digest]weak.Pointer[Graph]
 	_   [40]byte
 }
 
@@ -105,10 +109,12 @@ func internShard(d Digest) *shard {
 }
 
 // Intern freezes g and returns the canonical instance for its digest:
-// the first graph interned with a given canonical form is returned for
-// every later structurally-identical graph, so signature-identical
-// graphs created independently (e.g. by transfers at different program
-// points) collapse to one shared immutable object.
+// while a graph interned with a given canonical form is still in use,
+// it is returned for every later structurally-identical graph, so
+// signature-identical graphs created independently (e.g. by transfers
+// at different program points) collapse to one shared immutable object.
+// Once no one holds the canonical instance any more, the next graph
+// with its digest becomes the canonical one.
 //
 // The digest is probed before freezing: a duplicate is discarded
 // immediately, so only graphs that become the canonical instance pay
@@ -122,10 +128,11 @@ func internShard(d Digest) *shard {
 func Intern(g *Graph) *Graph { return InternStats(g, nil) }
 
 // internLocked inserts or retrieves the canonical instance for a frozen
-// graph; the shard mutex must be held. rec, when non-nil, also
-// attributes the hit/miss to one run's RunStats.
+// graph; the shard mutex must be held. A dead entry counts as a miss
+// and is overwritten. rec, when non-nil, also attributes the hit/miss
+// to one run's RunStats.
 func (s *shard) internLocked(g *Graph, d Digest, rec *RunStats) *Graph {
-	if old, ok := s.tab[d]; ok {
+	if old := s.tab[d].Value(); old != nil {
 		if old == g {
 			return g
 		}
@@ -133,13 +140,29 @@ func (s *shard) internLocked(g *Graph, d Digest, rec *RunStats) *Graph {
 		rec.addInternHit()
 		return old
 	}
-	if s.tab == nil || len(s.tab) >= internShardCap {
-		s.tab = make(map[Digest]*Graph, 64)
+	if s.tab == nil {
+		s.tab = make(map[Digest]weak.Pointer[Graph], 64)
+	} else if len(s.tab) >= internShardCap {
+		s.sweepLocked()
 	}
-	s.tab[d] = g
+	s.tab[d] = weak.Make(g)
 	cacheStats.internMisses.Add(1)
 	rec.addInternMiss()
 	return g
+}
+
+// sweepLocked makes room in a full shard: it deletes the entries whose
+// graphs have been collected, and resets the shard wholesale only when
+// live graphs alone still fill it. The shard mutex must be held.
+func (s *shard) sweepLocked() {
+	for d, wp := range s.tab {
+		if wp.Value() == nil {
+			delete(s.tab, d)
+		}
+	}
+	if len(s.tab) >= internShardCap {
+		s.tab = make(map[Digest]weak.Pointer[Graph], 64)
+	}
 }
 
 // ---- observability counters -------------------------------------------

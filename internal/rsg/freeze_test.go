@@ -3,6 +3,7 @@ package rsg
 import (
 	"encoding/hex"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +153,84 @@ func TestInternReturnsCanonicalInstance(t *testing.T) {
 	if Intern(c) == ia {
 		t.Fatal("structurally different graphs must not intern to the same instance")
 	}
+}
+
+// internHeld interns a chain and checks that an equal-digest twin
+// interns to it while it is held. Only the digest escapes, so the
+// canonical instance is unreachable once internHeld returns.
+//
+//go:noinline
+func internHeld(t *testing.T, pvar string, length int) Digest {
+	g1 := Intern(buildChain(pvar, length))
+	if Intern(buildChain(pvar, length)) != g1 {
+		t.Fatal("an equal-digest graph must intern to the held canonical instance")
+	}
+	return g1.Digest()
+}
+
+// TestInternIsWeak pins the intern table's retention contract: a
+// canonical instance stays canonical while something outside the table
+// holds it, the table alone does not keep it alive, and a shard that
+// reaches its cap sheds dead entries before it touches live ones.
+func TestInternIsWeak(t *testing.T) {
+	d := internHeld(t, "weak", 3)
+	runtime.GC()
+	runtime.GC()
+	g3 := buildChain("weak", 3)
+	if Intern(g3) != g3 {
+		t.Fatal("after the canonical instance was collected, the next equal-digest graph must become canonical")
+	}
+	if g3.Digest() != d {
+		t.Fatal("digest changed across interns")
+	}
+
+	// Fill the shard of a held graph with synthetic entries whose
+	// graphs are garbage; the insert that finds the shard full must
+	// drop those and keep the held one.
+	keep := Intern(buildChain("full", 2))
+	s := internShard(keep.Digest())
+	synth := func(i int) Digest {
+		e := keep.Digest()
+		e[1], e[2], e[3], e[15] = byte(i), byte(i>>8), byte(i>>16), 0xa5
+		return e
+	}
+	fill := func(hold bool) []*Graph {
+		var held []*Graph
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		for i := 0; len(s.tab) < internShardCap; i++ {
+			g := NewGraph()
+			s.internLocked(g, synth(i), nil)
+			if hold {
+				held = append(held, g)
+			}
+		}
+		return held
+	}
+	trigger := func(i int) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.internLocked(NewGraph(), synth(1<<20+i), nil)
+	}
+
+	fill(false)
+	runtime.GC()
+	runtime.GC()
+	trigger(0)
+	if n := internShardLen(keep.Digest()); n >= internShardCap/2 {
+		t.Fatalf("full shard kept %d entries after its dead ones were collected", n)
+	}
+	if Intern(buildChain("full", 2)) != keep {
+		t.Fatal("a full shard dropped a live canonical instance")
+	}
+
+	// A shard full of live graphs is still bounded: it resets wholesale.
+	held := fill(true)
+	trigger(1)
+	if n := internShardLen(keep.Digest()); n != 1 {
+		t.Fatalf("shard full of live graphs holds %d entries after an insert, want a reset to 1", n)
+	}
+	runtime.KeepAlive(held)
 }
 
 func TestDigestStringIsHex(t *testing.T) {

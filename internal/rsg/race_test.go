@@ -1,6 +1,7 @@
 package rsg
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -51,9 +52,11 @@ func TestInternConcurrent(t *testing.T) {
 					if got[s] == nil {
 						got[s] = g
 					} else if got[s] != g {
-						// The shard may have epoch-flipped between
-						// rounds, which legitimately changes the
-						// canonical instance; digests must still agree.
+						// The shard may have been reset at its cap
+						// between rounds (entries not yet collected
+						// still read as live), which legitimately
+						// changes the canonical instance; digests
+						// must still agree.
 						if got[s].Digest() != g.Digest() {
 							t.Errorf("worker %d shape %d: digest changed across interns", w, s)
 						}
@@ -84,6 +87,53 @@ func TestInternConcurrent(t *testing.T) {
 			t.Fatalf("shapes %d and %d collide", s-1, s)
 		}
 	}
+}
+
+// TestInternWeakUnderGC interns equal-digest graphs from many
+// goroutines while another one forces collections: a graph the test
+// holds stays the canonical instance for everyone, and an unheld
+// shape may change instance between collections but never digest.
+// Run with -race to check that weak-entry reads and overwrites are
+// covered by the shard locks.
+func TestInternWeakUnderGC(t *testing.T) {
+	const goroutines = 8
+	const rounds = 40
+
+	held := Intern(buildChain("gc", 4))
+	want := buildChain("gc", 5).Digest()
+	stop := make(chan struct{})
+	collector := make(chan struct{})
+	go func() {
+		defer close(collector)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if Intern(buildChain("gc", 4)) != held {
+					t.Errorf("worker %d: a held canonical instance was replaced", w)
+					return
+				}
+				if g := Intern(buildChain("gc", 5)); g.Digest() != want || !g.Frozen() {
+					t.Errorf("worker %d: unheld shape interned to a wrong or unfrozen graph", w)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-collector
 }
 
 // TestFrozenGraphSharedReads exercises the read paths of one frozen

@@ -97,7 +97,8 @@ func InternStats(g *Graph, rec *RunStats) *Graph {
 	s := internShard(d)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.tab[d]; ok {
+	// A missing or collected entry reads as nil: both are misses.
+	if old := s.tab[d].Value(); old != nil {
 		cacheStats.internHits.Add(1)
 		rec.addInternHit()
 		return old

@@ -12,10 +12,10 @@ import (
 // flat edge lists) can work on integers while pretty-printing recovers
 // the names through the reverse mapping.
 //
-// Tables are append-only and process-global, like the intern table: the
-// IR of a program is finite and known after parsing, so the working set
-// stabilizes immediately and lookups are lock-free reads of an atomic
-// snapshot. Canonical emission never depends on Sym *values* — only on
+// Tables are append-only and process-global, unlike the weak graph
+// intern table: the IR of a program is finite and known after parsing,
+// so the working set stabilizes immediately and lookups are lock-free
+// reads of an atomic snapshot. Canonical emission never depends on Sym *values* — only on
 // the name order recovered via the snapshot's rank array — so digests
 // are independent of interning order and identical to the pre-Sym
 // encoding byte for byte.

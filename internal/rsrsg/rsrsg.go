@@ -61,8 +61,9 @@ type JoinCache struct {
 }
 
 // joinCacheCap bounds each of the cache's maps; a map that reaches the
-// cap is reset wholesale, like the intern table — entries are
-// pure-function results, so eviction only costs recomputation.
+// cap is reset wholesale — entries are pure-function results, so
+// eviction only costs recomputation. The entries are strong, but a
+// cache lives only as long as the run that owns it.
 const joinCacheCap = 1 << 15
 
 // NewJoinCache returns an empty join cache for sharing across Accums.

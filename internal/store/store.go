@@ -49,7 +49,11 @@ const maxRecordLen = 64 << 20
 
 // graphCacheCap bounds the decoded-graph cache. Eviction is arbitrary
 // (map iteration order); the cache is a decode-avoidance layer, not a
-// correctness layer, so any policy is sound.
+// correctness layer, so any policy is sound. Its entries are strong on
+// purpose, unlike rsg's weak intern table: warm and edit replay decode
+// the same graphs on every request, and a weak cache measured on the
+// shaped-mix benchmark cut /check CPU (188 -> 18 ms) but raised warm
+// replay from 0.82 to 5.9 ms and edit replay from 1.13 to 7.3 ms.
 const graphCacheCap = 8192
 
 // Key is the 128-bit content key used throughout the store.
