@@ -65,9 +65,10 @@ bench-sched:
 	$(GO) test -run TestSchedSmoke -count=1 ./internal/analysis/
 
 # Persistent-store smoke: the Figure 1 list and Barnes-Hut through the
-# cold -> warm -> one-statement-edit trajectory (DESIGN.md §13). Warm
-# must do zero transfers; the edit must rerun only the changed
-# statement's forward cone. -short keeps Barnes-Hut out of the CI run.
+# cold -> warm -> one-statement-edit -> chained-edit trajectory
+# (DESIGN.md §13). Warm must do zero transfers; each edit must rerun
+# only the forward cone of the statement it adds. -short keeps
+# Barnes-Hut out of the CI run.
 bench-warm:
 	$(GO) test -run TestWarmStartSmoke -short -count=1 ./internal/benchprog/
 

@@ -20,9 +20,10 @@
 // baseline: "warm" measures a re-analysis served entirely from a
 // populated store (zero transfers), "edit" measures re-analysis after
 // the canonical one-statement tail edit (only the edit's forward cone
-// reruns). Store files live under -cache-dir (a temp directory when
-// unset) and are populated once per cell before the measurement loop,
-// so every rep of a warm/edit cell measures the steady state.
+// reruns; each rep edits the version the previous rep analyzed). Store
+// files live under -cache-dir (a temp directory when unset) and are
+// populated once per cell before the measurement loop, so every rep of
+// a warm/edit cell measures the steady state.
 //
 // -verdicts appends a memory-safety table: the progressive
 // null-deref / use-after-free / leak verdicts for each kernel.
@@ -61,10 +62,13 @@ type cell struct {
 	lvl    rsg.Level
 	// persist is "cold" (storeless baseline), "warm" (re-analysis from
 	// a populated store) or "edit" (one-statement tail edit against the
-	// base snapshot).
+	// previous version's snapshot).
 	persist string
-	// measured is the kernel each rep compiles and analyzes: the base
-	// kernel, or its tail-edited twin for persist == "edit".
+	// measured is the kernel the next rep compiles and analyzes: the
+	// base kernel, or for persist == "edit" the tail edit of the version
+	// the previous rep analyzed. A converged edit records its own
+	// snapshot, so re-running one edited version would be served warm;
+	// each edit rep instead adds one statement to the chain.
 	measured *benchprog.Kernel
 	opts     analysis.Options
 
@@ -308,6 +312,12 @@ func main() {
 				allocObjs:  rep.AllocObjects,
 				rep:        rep,
 			})
+			if c.persist == "edit" {
+				if c.measured, err = c.measured.TailEdit(); err != nil {
+					fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+					os.Exit(1)
+				}
+			}
 		}
 	}
 

@@ -305,19 +305,30 @@ func loadSnapshotOuts(st *store.Store, snap *store.Snapshot, skip func(id int) b
 	return out, true
 }
 
-// persistFinish records a cold run's outcome as a snapshot. Only cold
-// (unseeded) runs write snapshots — a warm run would be a no-op
-// rewrite, and recording seeded runs would let any seeding bug
-// propagate through the store. Clean outcomes only: a converged
-// fixpoint, or the deterministic bounded prefix of an ErrNoConvergence
-// run. Timeouts and budget aborts are machine-dependent cut points and
-// are not recorded. Returns err unchanged so call sites can tail-call.
+// persistFinish records a run's outcome as a snapshot. Cold runs
+// record clean outcomes: a converged fixpoint, or the deterministic
+// bounded prefix of an ErrNoConvergence run. Converged edit runs record
+// too, so the next edit of the program diffs against this version and
+// its cone is only what changed since (DESIGN.md §13); an edit's
+// bounded prefix is not a cold prefix and is not recorded. A recorded
+// edit carries any seeding error forward along the chain, which the
+// chained-edit tests guard against. A warm run would be a no-op
+// rewrite. Timeouts and budget aborts are
+// machine-dependent cut points and are never recorded. Returns err
+// unchanged so call sites can tail-call.
 func (e *engineRun) persistFinish(plan *persistPlan, prog *ir.Program, res *Result, err error) error {
-	if plan.mode != persistCold {
+	record := plan.mode == persistCold && (err == nil || errors.Is(err, ErrNoConvergence)) ||
+		plan.mode == persistEdit && err == nil
+	if !record {
 		return err
 	}
-	if err != nil && !errors.Is(err, ErrNoConvergence) {
-		return err
+	// An edit run's visits cover only its cone; a cold run of the same
+	// program may need more. Recording the edit's whole budget keeps
+	// warmEligible from serving a request whose budget a cold run might
+	// not have met.
+	visits := res.Stats.Visits
+	if plan.mode == persistEdit {
+		visits = e.opts.MaxVisits
 	}
 	snap := &store.Snapshot{
 		Prog:        plan.progDig,
@@ -326,7 +337,7 @@ func (e *engineRun) persistFinish(plan *persistPlan, prog *ir.Program, res *Resu
 		Converged:   err == nil,
 		VisitBudget: e.opts.MaxVisits,
 		NodeBudget:  e.opts.NodeBudget,
-		Visits:      res.Stats.Visits,
+		Visits:      visits,
 		Stmts:       make([]store.SnapStmt, 0, len(prog.Stmts)),
 	}
 	for id := range prog.Stmts {

@@ -120,7 +120,8 @@ func RunLevel(prog *ir.Program, lvl rsg.Level, goals []Goal, opts Options) Level
 	opts.Level = lvl
 	rep := LevelReport{Level: lvl}
 
-	// Kept on purpose: without it /check CPU falls but shaped's RSS doubles (ROADMAP.md, "Forced GC").
+	// Kept on purpose: it caps shaped's memory (ROADMAP.md, "Forced GC"). It marks live
+	// state only: graphs still in use, and store graphs cached because they were read back.
 	runtime.GC()
 	before := readHeapMetrics()
 	start := time.Now()

@@ -64,10 +64,11 @@ func editCone(base, edited []ir.StmtDigest, prog *ir.Program) map[int]bool {
 }
 
 // warmKernel runs the cold/warm/edit trajectory for one kernel at the
-// given visit budget and asserts the tentpole's acceptance criteria:
-// the warm run does zero transfers, and the edit run re-analyzes only
-// the changed statement's forward cone. Cold and warm are digest-checked
-// against storeless cold references. The edit run's contract is
+// given visit budget and asserts its contract: the warm run does zero
+// transfers, the edit run re-analyzes only the changed statement's
+// forward cone, and a second, chained edit re-analyzes only the cone of
+// the statement it adds. Cold and warm are digest-checked against
+// storeless cold references. The edit run's contract is
 // cone-aware (DESIGN.md §13): every statement outside the forward cone
 // must be bit-identical to a cold run of the edited kernel; statements
 // inside the cone are a deterministic continuation from the restored
@@ -183,7 +184,8 @@ func warmKernel(t *testing.T, k *Kernel, visits int, exactIdentity bool) {
 			}
 			drift++
 		}
-		// A second edit run from the same snapshot must replay the same
+		// The converged edit recorded its own snapshot, so a second run
+		// of the edited kernel is served from it and must replay the
 		// continuation bit for bit.
 		eprog2, err := ek.Compile()
 		if err != nil {
@@ -200,13 +202,38 @@ func warmKernel(t *testing.T, k *Kernel, visits int, exactIdentity bool) {
 		}
 		t.Logf("%s: %d of %d cone stmts drifted (more precise than cold)", k.Name, drift, len(cone))
 	}
-	t.Logf("%s: warm reused %d stmts; edit reseeded %d of %d stmts",
-		k.Name, warm.Stats.ReusedStatements, edit.Stats.ReseededStatements, len(eprog.Stmts))
+
+	// Second, chained edit: it diffs against the first edit's snapshot,
+	// so only the statement it appends and that statement's forward cone
+	// rerun, once each.
+	ek2, err := ek.TailEdit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eprog2, err := ek2.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit2, err := analysis.Run(eprog2, sopts)
+	if err != nil {
+		t.Fatalf("chained edit: %v", err)
+	}
+	cone2 := editCone(eprog.StmtDigests(), eprog2.StmtDigests(), eprog2)
+	if edit2.Stats.Visits != len(cone2) || edit2.Stats.ReseededStatements != len(cone2) {
+		t.Fatalf("chained edit visited %d and reseeded %d statements, want the new statement's cone of %d",
+			edit2.Stats.Visits, edit2.Stats.ReseededStatements, len(cone2))
+	}
+	if exactIdentity {
+		check("chained edit", refDigs(ek2), edit2)
+	}
+	t.Logf("%s: warm reused %d stmts; edit reseeded %d of %d stmts; chained edit %d of %d",
+		k.Name, warm.Stats.ReusedStatements, edit.Stats.ReseededStatements, len(eprog.Stmts),
+		edit2.Stats.ReseededStatements, len(eprog2.Stmts))
 }
 
 // TestWarmStartSmoke is the bench-warm smoke gate: Figure 1's doubly
 // linked list plus the Barnes-Hut force kernel, each through the
-// cold/warm/edit trajectory at a converging visit budget.
+// cold/warm/edit/chained-edit trajectory at a converging visit budget.
 func TestWarmStartSmoke(t *testing.T) {
 	warmKernel(t, DoublyList(), 60000, true)
 	if testing.Short() {

@@ -276,11 +276,16 @@ func (e *epStats) snapshot() EndpointStats {
 }
 
 // StoreStats is the JSON form of the shared store's state.
+// CachedGraphs is the decode cache's size and Decodes the number of
+// graphs read from the log and decoded since boot; the cache fills on
+// reads only, so one-off /check programs grow Graphs but not it.
 type StoreStats struct {
-	Graphs    int  `json:"graphs"`
-	Memos     int  `json:"memos"`
-	Snapshots int  `json:"snapshots"`
-	ReadOnly  bool `json:"read_only"`
+	Graphs       int   `json:"graphs"`
+	Memos        int   `json:"memos"`
+	Snapshots    int   `json:"snapshots"`
+	CachedGraphs int   `json:"cached_graphs"`
+	Decodes      int64 `json:"decodes"`
+	ReadOnly     bool  `json:"read_only"`
 }
 
 // AnalysisTotals aggregates analysis.Stats across all completed runs.
@@ -333,7 +338,9 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if st := s.cfg.Store; st != nil {
 		g, m, sn := st.Counts()
-		resp.Store = &StoreStats{Graphs: g, Memos: m, Snapshots: sn, ReadOnly: st.ReadOnly()}
+		cached, decodes := st.CacheStats()
+		resp.Store = &StoreStats{Graphs: g, Memos: m, Snapshots: sn,
+			CachedGraphs: cached, Decodes: decodes, ReadOnly: st.ReadOnly()}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

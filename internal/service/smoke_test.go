@@ -11,14 +11,17 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/service"
 )
 
 // TestServiceSmoke is the end-to-end exercise behind `make
 // service-smoke`: it builds the real shaped/shapec/shapecheck
 // binaries, boots the daemon over a temp store, round-trips /analyze
 // twice through `shapec -remote` (the second run must warm-start from
-// the store), runs `shapecheck -remote` on a corpus task, and drains
-// the daemon with SIGTERM expecting a clean exit.
+// the store), runs `shapecheck -remote` on a corpus task (which must
+// grow the store by more than its read-allocate decode cache), and
+// drains the daemon with SIGTERM expecting a clean exit.
 func TestServiceSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke test builds and boots real binaries; skipped in -short")
@@ -83,10 +86,21 @@ func TestServiceSmoke(t *testing.T) {
 	if _, err := os.Stat(task); err != nil {
 		t.Fatalf("corpus task missing: %v", err)
 	}
+	client := &service.Client{BaseURL: base}
+	before := storeStats(t, client)
 	out3 := runCmd(t, bins["shapecheck"], "-remote", base, task)
 	if !strings.Contains(out3, "ok (remote)") {
 		t.Fatalf("remote corpus check did not match its header:\n%s", out3)
 	}
+	// The check writes graphs that nothing reads back: the store grows,
+	// but its decode cache, which fills on reads only, grows by less.
+	after := storeStats(t, client)
+	grew, cached := after.Graphs-before.Graphs, after.CachedGraphs-before.CachedGraphs
+	if grew <= 0 || cached >= grew {
+		t.Fatalf("remote check grew the store by %d graphs and its decode cache by %d; want graphs > cache growth",
+			grew, cached)
+	}
+	t.Logf("remote check: +%d graphs, +%d cached, +%d decodes", grew, cached, after.Decodes-before.Decodes)
 
 	// Graceful drain: SIGTERM, exit 0.
 	if err := daemon.Process.Signal(syscall.SIGTERM); err != nil {
@@ -100,6 +114,18 @@ func TestServiceSmoke(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("shaped did not drain within 30s of SIGTERM")
 	}
+}
+
+func storeStats(t *testing.T, c *service.Client) *service.StoreStats {
+	t.Helper()
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatalf("/stats: %v", err)
+	}
+	if st.Store == nil {
+		t.Fatal("/stats reports no store")
+	}
+	return st.Store
 }
 
 func waitHealthy(t *testing.T, base string, exited <-chan error) {

@@ -49,11 +49,16 @@ const maxRecordLen = 64 << 20
 
 // graphCacheCap bounds the decoded-graph cache. Eviction is arbitrary
 // (map iteration order); the cache is a decode-avoidance layer, not a
-// correctness layer, so any policy is sound. Its entries are strong on
-// purpose, unlike rsg's weak intern table: warm and edit replay decode
-// the same graphs on every request, and a weak cache measured on the
-// shaped-mix benchmark cut /check CPU (188 -> 18 ms) but raised warm
-// replay from 0.82 to 5.9 ms and edit replay from 1.13 to 7.3 ms.
+// correctness layer, so any policy is sound. It is read-allocate: only
+// Graph fills it, because most graphs a run writes — the transfer-memo
+// parts and snapshot outs of one-off /check programs — are never read
+// back, and caching them would make every forced collection in
+// analysis.RunLevel mark them (shaped-mix check_cpu_ms 154.5 vs 38.5 ms
+// on 2 CPUs). Its entries are strong on purpose, unlike rsg's weak
+// intern table: warm and edit replay read the same graphs on every
+// request, and a weak cache measured on the shaped-mix benchmark cut
+// /check CPU (188 -> 18 ms) but raised warm replay from 0.82 to 5.9 ms
+// and edit replay from 1.13 to 7.3 ms.
 const graphCacheCap = 8192
 
 // Key is the 128-bit content key used throughout the store.
@@ -124,6 +129,8 @@ type Store struct {
 	snaps  map[snapKey]*Snapshot
 	byName map[nameKey]*Snapshot // latest snapshot per (program name, fp)
 	cache  map[rsg.Digest]*rsg.Graph
+	// decodes counts graphs read from the log and decoded since Open.
+	decodes int64
 }
 
 // Open opens (creating if absent) the store file at path for writing,
@@ -329,7 +336,9 @@ func (s *Store) Close() error {
 }
 
 // PutGraph persists a frozen graph under its digest; duplicate puts are
-// free no-ops (content addressing).
+// free no-ops (content addressing). It does not fill the decode cache:
+// most graphs a run writes are never read back, and while an interned
+// graph is live, Graph finds it through the intern table instead.
 func (s *Store) PutGraph(g *rsg.Graph) error {
 	d := g.Digest()
 	s.mu.Lock()
@@ -353,13 +362,15 @@ func (s *Store) PutGraph(g *rsg.Graph) error {
 	}
 	hdr := int64(1 + uvarintLen(uint64(len(body))))
 	s.graphs[d] = span{off: off + hdr + 16, len: int64(len(enc))}
-	s.cachePut(d, g)
 	return nil
 }
 
-// Graph loads the graph stored under d. Returns false on any failure:
-// absent, unreadable, undecodable, or — the content-address check — if
-// the decoded graph's recomputed digest does not equal d.
+// Graph loads the graph stored under d. The decode cache fills on
+// reads, not on writes: a miss first takes the live canonical instance
+// from the rsg intern table, and reads the log only when no instance
+// is live. Returns false on any failure: absent, unreadable,
+// undecodable, or — the content-address check — if the decoded graph's
+// recomputed digest does not equal d.
 func (s *Store) Graph(d rsg.Digest) (*rsg.Graph, bool) {
 	s.mu.Lock()
 	if g, ok := s.cache[d]; ok {
@@ -372,16 +383,22 @@ func (s *Store) Graph(d rsg.Digest) (*rsg.Graph, bool) {
 	if !ok || f == nil {
 		return nil, false
 	}
-	buf := make([]byte, sp.len)
-	if _, err := f.ReadAt(buf, sp.off); err != nil {
-		return nil, false
+	g, decoded := rsg.Lookup(d), false
+	if g == nil {
+		buf := make([]byte, sp.len)
+		if _, err := f.ReadAt(buf, sp.off); err != nil {
+			return nil, false
+		}
+		dg, err := rsg.DecodeFrozen(buf)
+		if err != nil || dg.Digest() != d {
+			return nil, false
+		}
+		g, decoded = rsg.Intern(dg), true
 	}
-	g, err := rsg.DecodeFrozen(buf)
-	if err != nil || g.Digest() != d {
-		return nil, false
-	}
-	g = rsg.Intern(g)
 	s.mu.Lock()
+	if decoded {
+		s.decodes++
+	}
 	s.cachePut(d, g)
 	s.mu.Unlock()
 	return g, true
@@ -501,6 +518,14 @@ func (s *Store) SnapshotByName(name string, fp uint64) (*Snapshot, bool) {
 
 // ReadOnly reports whether the store was opened with OpenReadOnly.
 func (s *Store) ReadOnly() bool { return s.ro }
+
+// CacheStats reports the decode cache's size and the number of graphs
+// read from the log and decoded since Open.
+func (s *Store) CacheStats() (cached int, decodes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.cache), s.decodes
+}
 
 // Counts reports index sizes (graphs, memo entries, snapshots) for
 // tests and CLI diagnostics.
