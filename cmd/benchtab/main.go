@@ -23,7 +23,10 @@
 // reruns; each rep edits the version the previous rep analyzed). Store
 // files live under -cache-dir (a temp directory when unset) and are
 // populated once per cell before the measurement loop, so every rep of
-// a warm/edit cell measures the steady state.
+// a warm/edit cell measures the steady state. Converged edits record
+// their own snapshots, so an edit cell needs a -cache-dir that no
+// earlier edit cell wrote to; benchtab exits if an edit rep
+// re-analyzes nothing.
 //
 // -verdicts appends a memory-safety table: the progressive
 // null-deref / use-after-free / leak verdicts for each kernel.
@@ -313,6 +316,14 @@ func main() {
 				rep:        rep,
 			})
 			if c.persist == "edit" {
+				// A store reused through -cache-dir may already hold this
+				// version's snapshot from an earlier benchtab run; the rep
+				// would then time a warm replay, not an edit.
+				if res := rep.Result; res != nil && (res.Stats.ReseededStatements == 0 || res.Stats.Visits == 0) {
+					fmt.Fprintf(os.Stderr, "benchtab: %s %s edit rep %d re-analyzed nothing (a snapshot of this version is already in %s); use a fresh -cache-dir\n",
+						c.kernel.Name, c.lvl, r+1, *cacheDir)
+					os.Exit(1)
+				}
 				if c.measured, err = c.measured.TailEdit(); err != nil {
 					fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
 					os.Exit(1)

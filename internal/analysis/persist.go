@@ -310,25 +310,19 @@ func loadSnapshotOuts(st *store.Store, snap *store.Snapshot, skip func(id int) b
 // bounded prefix of an ErrNoConvergence run. Converged edit runs record
 // too, so the next edit of the program diffs against this version and
 // its cone is only what changed since (DESIGN.md §13); an edit's
-// bounded prefix is not a cold prefix and is not recorded. A recorded
+// bounded prefix is not a cold prefix and is not recorded. An edit's
+// recorded visits are its cone's, so warmEligible serves the version to
+// exactly the budgets under which the edit itself converges. A recorded
 // edit carries any seeding error forward along the chain, which the
 // chained-edit tests guard against. A warm run would be a no-op
-// rewrite. Timeouts and budget aborts are
-// machine-dependent cut points and are never recorded. Returns err
-// unchanged so call sites can tail-call.
+// rewrite. Timeouts and budget aborts are machine-dependent cut points
+// and are never recorded. Returns err unchanged so call sites can
+// tail-call.
 func (e *engineRun) persistFinish(plan *persistPlan, prog *ir.Program, res *Result, err error) error {
 	record := plan.mode == persistCold && (err == nil || errors.Is(err, ErrNoConvergence)) ||
 		plan.mode == persistEdit && err == nil
 	if !record {
 		return err
-	}
-	// An edit run's visits cover only its cone; a cold run of the same
-	// program may need more. Recording the edit's whole budget keeps
-	// warmEligible from serving a request whose budget a cold run might
-	// not have met.
-	visits := res.Stats.Visits
-	if plan.mode == persistEdit {
-		visits = e.opts.MaxVisits
 	}
 	snap := &store.Snapshot{
 		Prog:        plan.progDig,
@@ -337,7 +331,7 @@ func (e *engineRun) persistFinish(plan *persistPlan, prog *ir.Program, res *Resu
 		Converged:   err == nil,
 		VisitBudget: e.opts.MaxVisits,
 		NodeBudget:  e.opts.NodeBudget,
-		Visits:      visits,
+		Visits:      res.Stats.Visits,
 		Stmts:       make([]store.SnapStmt, 0, len(prog.Stmts)),
 	}
 	for id := range prog.Stmts {

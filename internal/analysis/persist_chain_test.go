@@ -195,10 +195,11 @@ func TestPersistChainedEditsBarnesHut(t *testing.T) {
 }
 
 // TestPersistChainedEditBudgets: an edit cut short by its visit budget
-// records nothing, so the next edit still diffs against the base; and a
-// converged edit's snapshot serves only requests with at least the
-// recording edit's visit budget, since its own visits cover the cone
-// alone.
+// records nothing, so the next edit still diffs against the base. A
+// converged edit's snapshot records the edit's own visits, so it serves
+// any request whose budget the edit itself would have converged under,
+// and no lower one; such a lower-budget request runs cold, and its
+// bounded prefix does not displace the edit as the next edit's base.
 func TestPersistChainedEditBudgets(t *testing.T) {
 	vs := chainVersions(t, benchprog.DoublyList())
 	st := freshStore(t)
@@ -220,9 +221,8 @@ func TestPersistChainedEditBudgets(t *testing.T) {
 
 	// The converged edit of the same version: still diffed against the
 	// base, then recorded.
-	const budget = 5000
 	prog := compileVersion(t, vs[1])
-	edit, err := analysis.Run(prog, analysis.Options{Store: st, MaxVisits: budget})
+	edit, err := analysis.Run(prog, analysis.Options{Store: st, MaxVisits: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,22 +232,37 @@ func TestPersistChainedEditBudgets(t *testing.T) {
 	if _, _, n := st.Counts(); n != snaps+1 {
 		t.Fatalf("converged edit wrote %d snapshots, want 1", n-snaps)
 	}
+	cone := edit.Stats.Visits
+	if cone < 2 {
+		t.Fatalf("edit visited %d statements; the test needs a budget below that", cone)
+	}
 
-	// At the recording budget: a zero-work replay.
-	warm, err := analysis.Run(compileVersion(t, vs[1]), analysis.Options{Store: st, MaxVisits: budget})
+	// Below the recording budget but enough for the cone: a zero-work
+	// replay.
+	warm, err := analysis.Run(compileVersion(t, vs[1]), analysis.Options{Store: st, MaxVisits: cone})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Stats.Visits != 0 {
-		t.Fatalf("recording-budget request did %d visits", warm.Stats.Visits)
+	if warm.Stats.Visits != 0 || warm.Stats.ReusedStatements != len(prog.Stmts) {
+		t.Fatalf("request with the edit's own visits as budget was not served: %+v", warm.Stats)
 	}
-	// Below the recording budget: not served, runs cold (and records
-	// a cold snapshot that shadows the edit's).
-	low, err := analysis.Run(compileVersion(t, vs[1]), analysis.Options{Store: st, MaxVisits: budget - 1})
+	// Below the cone: not served, runs cold and stops at its budget.
+	low, err := analysis.Run(compileVersion(t, vs[1]), analysis.Options{Store: st, MaxVisits: cone - 1})
+	if !errors.Is(err, analysis.ErrNoConvergence) {
+		t.Fatalf("below-cone request: %v", err)
+	}
+	if low.Stats.ReusedStatements != 0 || low.Stats.ReseededStatements != 0 {
+		t.Fatalf("below-cone request was served from a snapshot: %+v", low.Stats)
+	}
+
+	// The next edit still diffs against the converged edit.
+	next := compileVersion(t, vs[2])
+	res, err := analysis.Run(next, analysis.Options{Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if low.Stats.Visits == 0 || low.Stats.ReusedStatements != 0 {
-		t.Fatalf("lower-budget request was served from the edit snapshot: %+v", low.Stats)
+	if want := len(forwardCone(prog, next)); res.Stats.ReseededStatements != want || res.Stats.Visits != want {
+		t.Fatalf("edit after a bounded cold run reseeded %d, visited %d; want its own cone of %d",
+			res.Stats.ReseededStatements, res.Stats.Visits, want)
 	}
 }

@@ -185,19 +185,22 @@ func warmKernel(t *testing.T, k *Kernel, visits int, exactIdentity bool) {
 			drift++
 		}
 		// The converged edit recorded its own snapshot, so a second run
-		// of the edited kernel is served from it and must replay the
-		// continuation bit for bit.
-		eprog2, err := ek.Compile()
+		// of the edited kernel is served from it with no visits and must
+		// replay the continuation bit for bit.
+		rprog, err := ek.Compile()
 		if err != nil {
 			t.Fatal(err)
 		}
-		edit2, err := analysis.Run(eprog2, sopts)
+		repeat, err := analysis.Run(rprog, sopts)
 		if err != nil {
 			t.Fatalf("edit repeat: %v", err)
 		}
+		if repeat.Stats.Visits != 0 || repeat.Stats.ReusedStatements != len(rprog.Stmts) {
+			t.Fatalf("edit repeat was not served from the edit's snapshot: %+v", repeat.Stats)
+		}
 		for id, s := range edit.Out {
-			if edit2.Out[id] == nil || edit2.Out[id].Digest() != s.Digest() {
-				t.Fatalf("edit continuation is not deterministic at stmt %d", id)
+			if repeat.Out[id] == nil || repeat.Out[id].Digest() != s.Digest() {
+				t.Fatalf("edit replay differs from the edit at stmt %d", id)
 			}
 		}
 		t.Logf("%s: %d of %d cone stmts drifted (more precise than cold)", k.Name, drift, len(cone))

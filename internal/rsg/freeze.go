@@ -127,16 +127,6 @@ func internShard(d Digest) *shard {
 // owned by a single goroutine until it is frozen or interned.
 func Intern(g *Graph) *Graph { return InternStats(g, nil) }
 
-// Lookup returns the live canonical instance interned under d, or nil
-// if there is none: the digest was never interned, or its instance has
-// been collected. It counts as neither an intern hit nor a miss.
-func Lookup(d Digest) *Graph {
-	s := internShard(d)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tab[d].Value()
-}
-
 // internLocked inserts or retrieves the canonical instance for a frozen
 // graph; the shard mutex must be held. A dead entry counts as a miss
 // and is overwritten. rec, when non-nil, also attributes the hit/miss

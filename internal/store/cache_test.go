@@ -4,33 +4,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 
 	"repro/internal/rsg"
 )
 
-// putDropped stores an interned graph and lets go of it, returning only
-// its digest: after two collections no live instance of it remains.
-func putDropped(t *testing.T, s *Store, seed int64) rsg.Digest {
-	t.Helper()
-	g := rsg.Intern(testGraph(rand.New(rand.NewSource(seed))))
-	if err := s.PutGraph(g); err != nil {
-		t.Fatalf("put graph: %v", err)
-	}
-	return g.Digest()
-}
-
-func collect() {
-	runtime.GC()
-	runtime.GC()
-}
-
 // TestGraphCacheIsReadAllocate: writing graphs leaves the decode cache
-// empty; reading a live graph back caches the caller's own instance
-// without decoding; reading a collected one decodes, verifies and
-// caches it.
+// empty; reading one back decodes, verifies and caches it once, and
+// interning makes the result the caller's own live instance.
 func TestGraphCacheIsReadAllocate(t *testing.T) {
 	s, err := Open(filepath.Join(t.TempDir(), "cache.rsgstore"))
 	if err != nil {
@@ -50,47 +32,23 @@ func TestGraphCacheIsReadAllocate(t *testing.T) {
 		t.Fatalf("after puts: %d cached, %d decodes; want 0, 0", cached, decodes)
 	}
 
-	before := rsg.ReadCacheStats()
-	for i, g := range live {
-		got, ok := s.Graph(g.Digest())
-		if !ok || got != g {
-			t.Fatalf("graph %d: got %p (ok=%v), want the live instance %p", i, got, ok, g)
+	for pass := 0; pass < 2; pass++ {
+		for i, g := range live {
+			got, ok := s.Graph(g.Digest())
+			if !ok || got != g {
+				t.Fatalf("pass %d, graph %d: got %p (ok=%v), want the live instance %p", pass, i, got, ok, g)
+			}
 		}
-	}
-	if n := rsg.ReadCacheStats().Sub(before).DigestsComputed; n != 0 {
-		t.Fatalf("serving live graphs computed %d digests", n)
-	}
-	cached, decodes := s.CacheStats()
-	if decodes != 0 {
-		t.Fatalf("serving live graphs decoded %d", decodes)
-	}
-	runtime.KeepAlive(live)
-
-	d := putDropped(t, s, 99)
-	collect()
-	if rsg.Lookup(d) != nil {
-		t.Fatal("dropped graph is still live after two collections")
-	}
-	got, ok := s.Graph(d)
-	if !ok || got.Digest() != d {
-		t.Fatalf("dropped graph: ok=%v", ok)
-	}
-	c2, dec2 := s.CacheStats()
-	if dec2 != decodes+1 || c2 != cached+1 {
-		t.Fatalf("reading a dropped graph: %d cached, %d decodes; want %d, %d", c2, dec2, cached+1, decodes+1)
-	}
-	// Now cached: the next read neither decodes nor looks elsewhere.
-	if again, _ := s.Graph(d); again != got {
-		t.Fatal("cached graph not served from the cache")
-	}
-	if _, dec3 := s.CacheStats(); dec3 != dec2 {
-		t.Fatalf("cached graph decoded again")
+		// The first pass decodes every graph; the second is served
+		// from the cache.
+		if cached, decodes := s.CacheStats(); cached != len(live) || decodes != int64(len(live)) {
+			t.Fatalf("pass %d: %d cached, %d decodes; want %d, %d", pass, cached, decodes, len(live), len(live))
+		}
 	}
 }
 
-// TestGraphCorruptSpanIsMiss: once no live instance exists, a graph
-// whose bytes were damaged after the log was indexed reads as a miss
-// and is not cached.
+// TestGraphCorruptSpanIsMiss: a graph whose bytes were damaged after
+// the log was indexed reads as a miss and is not cached.
 func TestGraphCorruptSpanIsMiss(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.rsgstore")
 	s, err := Open(path)
@@ -98,8 +56,11 @@ func TestGraphCorruptSpanIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	d := putDropped(t, s, 5)
-	collect()
+	g := testGraph(rand.New(rand.NewSource(5)))
+	if err := s.PutGraph(g); err != nil {
+		t.Fatalf("put graph: %v", err)
+	}
+	d := g.Digest()
 
 	s.mu.Lock()
 	sp := s.graphs[d]

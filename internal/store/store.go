@@ -53,7 +53,7 @@ const maxRecordLen = 64 << 20
 // Graph fills it, because most graphs a run writes — the transfer-memo
 // parts and snapshot outs of one-off /check programs — are never read
 // back, and caching them would make every forced collection in
-// analysis.RunLevel mark them (shaped-mix check_cpu_ms 154.5 vs 38.5 ms
+// analysis.RunLevel mark them (shaped-mix check_cpu_ms 160.6 vs 42.0 ms
 // on 2 CPUs). Its entries are strong on purpose, unlike rsg's weak
 // intern table: warm and edit replay read the same graphs on every
 // request, and a weak cache measured on the shaped-mix benchmark cut
@@ -127,7 +127,7 @@ type Store struct {
 	graphs map[rsg.Digest]span
 	memos  map[memoKey][]rsg.Digest
 	snaps  map[snapKey]*Snapshot
-	byName map[nameKey]*Snapshot // latest snapshot per (program name, fp)
+	byName map[nameKey]*Snapshot // latest snapshot per (program name, fp); see indexSnapshot
 	cache  map[rsg.Digest]*rsg.Graph
 	// decodes counts graphs read from the log and decoded since Open.
 	decodes int64
@@ -298,8 +298,7 @@ func (s *Store) index(kind byte, body []byte, off int64) {
 		}
 	case kindSnapshot:
 		if snap, ok := decodeSnapshot(body); ok {
-			s.snaps[snapKey{prog: snap.Prog, fp: snap.Fp}] = snap
-			s.byName[nameKey{name: snap.Name, fp: snap.Fp}] = snap
+			s.indexSnapshot(snap)
 		}
 	}
 }
@@ -337,8 +336,7 @@ func (s *Store) Close() error {
 
 // PutGraph persists a frozen graph under its digest; duplicate puts are
 // free no-ops (content addressing). It does not fill the decode cache:
-// most graphs a run writes are never read back, and while an interned
-// graph is live, Graph finds it through the intern table instead.
+// most graphs a run writes are never read back.
 func (s *Store) PutGraph(g *rsg.Graph) error {
 	d := g.Digest()
 	s.mu.Lock()
@@ -365,12 +363,11 @@ func (s *Store) PutGraph(g *rsg.Graph) error {
 	return nil
 }
 
-// Graph loads the graph stored under d. The decode cache fills on
-// reads, not on writes: a miss first takes the live canonical instance
-// from the rsg intern table, and reads the log only when no instance
-// is live. Returns false on any failure: absent, unreadable,
-// undecodable, or — the content-address check — if the decoded graph's
-// recomputed digest does not equal d.
+// Graph loads the graph stored under d, decoding it from the log on a
+// cache miss and caching the interned result: the decode cache fills on
+// reads, not on writes. Returns false on any failure: absent,
+// unreadable, undecodable, or — the content-address check — if the
+// decoded graph's recomputed digest does not equal d.
 func (s *Store) Graph(d rsg.Digest) (*rsg.Graph, bool) {
 	s.mu.Lock()
 	if g, ok := s.cache[d]; ok {
@@ -383,22 +380,17 @@ func (s *Store) Graph(d rsg.Digest) (*rsg.Graph, bool) {
 	if !ok || f == nil {
 		return nil, false
 	}
-	g, decoded := rsg.Lookup(d), false
-	if g == nil {
-		buf := make([]byte, sp.len)
-		if _, err := f.ReadAt(buf, sp.off); err != nil {
-			return nil, false
-		}
-		dg, err := rsg.DecodeFrozen(buf)
-		if err != nil || dg.Digest() != d {
-			return nil, false
-		}
-		g, decoded = rsg.Intern(dg), true
+	buf := make([]byte, sp.len)
+	if _, err := f.ReadAt(buf, sp.off); err != nil {
+		return nil, false
 	}
+	g, err := rsg.DecodeFrozen(buf)
+	if err != nil || g.Digest() != d {
+		return nil, false
+	}
+	g = rsg.Intern(g)
 	s.mu.Lock()
-	if decoded {
-		s.decodes++
-	}
+	s.decodes++
 	s.cachePut(d, g)
 	s.mu.Unlock()
 	return g, true
@@ -492,9 +484,20 @@ func (s *Store) PutSnapshot(snap *Snapshot) error {
 	if err := s.append(kindSnapshot, body); err != nil {
 		return err
 	}
-	s.snaps[snapKey{prog: snap.Prog, fp: snap.Fp}] = snap
-	s.byName[nameKey{name: snap.Name, fp: snap.Fp}] = snap
+	s.indexSnapshot(snap)
 	return nil
+}
+
+// indexSnapshot makes snap the latest snapshot for its program and, by
+// name, for its program name. A bounded prefix never displaces a
+// converged snapshot by name: only converged snapshots are edit-delta
+// bases, so the next version of the program still has one.
+func (s *Store) indexSnapshot(snap *Snapshot) {
+	s.snaps[snapKey{prog: snap.Prog, fp: snap.Fp}] = snap
+	k := nameKey{name: snap.Name, fp: snap.Fp}
+	if prev, ok := s.byName[k]; !ok || snap.Converged || !prev.Converged {
+		s.byName[k] = snap
+	}
 }
 
 // Snapshot looks up the snapshot for an exact (program digest,
@@ -508,7 +511,9 @@ func (s *Store) Snapshot(prog Key, fp uint64) (*Snapshot, bool) {
 
 // SnapshotByName looks up the latest snapshot recorded under a program
 // name and fingerprint, regardless of program digest — the edit-delta
-// probe, for finding the previous version of a changed program.
+// probe, for finding the previous version of a changed program. Once a
+// converged snapshot exists under the name, it is the latest converged
+// one.
 func (s *Store) SnapshotByName(name string, fp uint64) (*Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -116,13 +116,29 @@ func TestStoreRoundTrip(t *testing.T) {
 }
 
 // TestStoreSnapshotShadowing: the latest snapshot under a key wins,
-// including across reopen (log order).
+// including across reopen (log order), except that a bounded prefix
+// does not displace a converged snapshot by name.
 func TestStoreSnapshotShadowing(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.rsgstore")
 	s, _ := Open(path)
 	s.PutSnapshot(&Snapshot{Prog: dig(1), Name: "k", Fp: 5, Visits: 1})
 	s.PutSnapshot(&Snapshot{Prog: dig(1), Name: "k", Fp: 5, Visits: 2})
 	s.PutSnapshot(&Snapshot{Prog: dig(2), Name: "k", Fp: 5, Visits: 3})
+	// A bounded prefix shadows its own program's snapshot, but not a
+	// converged snapshot by name.
+	s.PutSnapshot(&Snapshot{Prog: dig(3), Name: "c", Fp: 5, Visits: 4, Converged: true})
+	s.PutSnapshot(&Snapshot{Prog: dig(3), Name: "c", Fp: 5, Visits: 5})
+	s.PutSnapshot(&Snapshot{Prog: dig(4), Name: "c", Fp: 5, Visits: 6})
+	check := func(s *Store) {
+		t.Helper()
+		if got, ok := s.Snapshot(dig(3), 5); !ok || got.Visits != 5 {
+			t.Fatalf("bounded prefix did not shadow its program's snapshot: %+v", got)
+		}
+		if got, ok := s.SnapshotByName("c", 5); !ok || got.Visits != 4 {
+			t.Fatalf("bounded prefix displaced the converged snapshot by name: %+v", got)
+		}
+	}
+	check(s)
 	s.Close()
 
 	s2, _ := Open(path)
@@ -134,6 +150,7 @@ func TestStoreSnapshotShadowing(t *testing.T) {
 	if got, ok := s2.SnapshotByName("k", 5); !ok || got.Visits != 3 {
 		t.Fatalf("by-name latest broken: %+v", got)
 	}
+	check(s2)
 }
 
 // TestStoreTornTailRecovery: appending garbage, a truncated record, or
